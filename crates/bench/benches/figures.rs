@@ -54,8 +54,9 @@
 //! (see `hipe_bench::perf`), so the host-side throughput trajectory
 //! is recorded and checked, not anecdotal.
 //!
-//! Besides the human-readable table, all sweeps are written to
-//! `BENCH_figures.json` (override the path with `HIPE_BENCH_JSON`) so
+//! Besides the human-readable table, all sweeps are written through
+//! `hipe_trace::json` to `BENCH_figures.json`, a document versioned by
+//! its `schema` field (override the path with `HIPE_BENCH_JSON`), so
 //! the performance trajectory of the simulator is machine-checkable
 //! across PRs (`check_figures` validates the schema, including that
 //! `par_*` cycles fall monotonically with the engine count, `serve_*`
@@ -77,8 +78,8 @@ use hipe::{Arch, RunReport, System, SystemConfig, TableShape};
 use hipe_db::Query;
 use hipe_serve::{run_service, Cluster, ClusterConfig, FaultPlan, ServiceConfig, ServiceReport};
 use hipe_sim::WorkerPool;
-use std::fmt::Write as _;
-use std::time::Instant;
+use hipe_trace::json::Value;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 2018;
 
@@ -177,7 +178,7 @@ fn main() {
             hipe.energy.link_pj() / base.energy.link_pj(),
             wall_ms,
         );
-        json_points.push(json_point(name, query, reports, *wall_ms));
+        json_points.push(run_point(name, query, reports, *wall_ms));
     }
     // One materialization per worker that actually ran a point — and
     // exactly one on the historical serial path.
@@ -231,7 +232,7 @@ fn main() {
             hipe.cycles,
             hipe_scan_1 as f64 / hipe.phases.scan.max(1) as f64,
         );
-        json_points.push(json_point(&name, &q6, reports, *wall_ms));
+        json_points.push(run_point(&name, &q6, reports, *wall_ms));
     }
 
     // Service sweep: the same saturating closed-loop load against 1,
@@ -271,12 +272,7 @@ fn main() {
             report.latency.p99,
             wall.as_secs_f64() * 1e3,
         );
-        json_points.push(serve_json_point(
-            &name,
-            &report,
-            "",
-            wall.as_secs_f64() * 1e3,
-        ));
+        json_points.push(serve_point(&name, &report).with("host_ms", ms(wall)));
     }
 
     // Replication point: the same load against 4 shards x 2 replica
@@ -299,12 +295,7 @@ fn main() {
         replicated.latency.p99,
         wall.as_secs_f64() * 1e3,
     );
-    json_points.push(serve_json_point(
-        "serve_4x2",
-        &replicated,
-        "",
-        wall.as_secs_f64() * 1e3,
-    ));
+    json_points.push(serve_point("serve_4x2", &replicated).with("host_ms", ms(wall)));
 
     // Failover point: the replicated cluster again, with replica 0 of
     // shard 1 killed fail-stop at half the clean makespan. Sub-queries
@@ -313,7 +304,7 @@ fn main() {
     // architecture — the per-arch digest pairs below are what
     // check_figures compares.
     let start = Instant::now();
-    let mut digests = String::new();
+    let mut digests = Vec::new();
     let mut hipe_failed = None;
     for arch in Arch::ALL {
         let cfg = ServiceConfig::closed(arch, SERVE_QUERIES, mix.clone(), SERVE_CLIENTS);
@@ -333,13 +324,8 @@ fn main() {
             failed.answers, clean.answers,
             "{arch}: failover changed the service answer"
         );
-        writeln!(
-            digests,
-            "      \"digest_{arch}_clean\": {},\n      \"digest_{arch}_fault\": {},",
-            clean.answers_digest(),
-            failed.answers_digest(),
-        )
-        .expect("writing to a String cannot fail");
+        digests.push((format!("digest_{arch}_clean"), clean.answers_digest()));
+        digests.push((format!("digest_{arch}_fault"), failed.answers_digest()));
         if matches!(arch, Arch::Hipe) {
             hipe_failed = Some(failed);
         }
@@ -358,12 +344,11 @@ fn main() {
         failed.failovers,
         failed.redispatched,
     );
-    json_points.push(serve_json_point(
-        "serve_fail",
-        &failed,
-        &digests,
-        wall.as_secs_f64() * 1e3,
-    ));
+    let fail_point = digests.iter().fold(
+        serve_point("serve_fail", &failed),
+        |point, (key, digest)| point.with(key, *digest),
+    );
+    json_points.push(fail_point.with("host_ms", ms(wall)));
 
     // Zone-map skip sweep: the same shipdate window runs pruned and
     // unpruned against one shipdate-clustered table per mode, on all
@@ -418,7 +403,7 @@ fn main() {
             hipe.regions_pruned,
             wall.as_secs_f64() * 1e3,
         );
-        json_points.push(skip_json_point(
+        json_points.push(skip_point(
             &name,
             &query,
             &pruned_reports,
@@ -460,15 +445,15 @@ fn main() {
         skip_report.shards_skipped(),
         wall.as_secs_f64() * 1e3,
     );
-    json_points.push(format!(
-        "    {{\n      \"name\": \"serve_skip\",\n      \"shards\": 4,\n      \
-         \"shards_skipped\": {},\n      \"cycles\": {},\n      \"base_cycles\": {},\n      \
-         \"host_ms\": {:.3}\n    }}",
-        skip_report.shards_skipped(),
-        skip_report.cycles,
-        full_report.cycles,
-        wall.as_secs_f64() * 1e3,
-    ));
+    json_points.push(
+        Value::object()
+            .with("name", "serve_skip")
+            .with("shards", 4u64)
+            .with("shards_skipped", skip_report.shards_skipped())
+            .with("cycles", skip_report.cycles)
+            .with("base_cycles", full_report.cycles)
+            .with("host_ms", ms(wall)),
+    );
 
     // Host-parallel speedup row: the same four-arch batch and the same
     // 4-shard scatter, once on a 1-worker pool and once on a 4-worker
@@ -545,19 +530,20 @@ fn main() {
     // check_figures only enforces the speedup when host_cpus >= 2
     // (digest equality is enforced unconditionally).
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    json_points.push(format!(
-        "    {{\n      \"name\": \"host_par\",\n      \"workers\": {HOST_PAR_WORKERS},\n      \
-         \"host_cpus\": {host_cpus},\n      \
-         \"sweep_serial_ms\": {sweep_ser_ms:.3},\n      \
-         \"sweep_parallel_ms\": {sweep_par_ms:.3},\n      \
-         \"scatter_serial_ms\": {scatter_ser_ms:.3},\n      \
-         \"scatter_parallel_ms\": {scatter_par_ms:.3},\n      \
-         \"digest_serial\": {},\n      \"digest_parallel\": {},\n      \
-         \"host_ms\": {:.3}\n    }}",
-        sweep_ser_digest ^ scatter_ser_digest,
-        sweep_par_digest ^ scatter_par_digest,
-        sweep_ser_ms + sweep_par_ms + scatter_ser_ms + scatter_par_ms,
-    ));
+    let host_ms = sweep_ser_ms + sweep_par_ms + scatter_ser_ms + scatter_par_ms;
+    json_points.push(
+        Value::object()
+            .with("name", "host_par")
+            .with("workers", HOST_PAR_WORKERS)
+            .with("host_cpus", host_cpus)
+            .with("sweep_serial_ms", fixed(sweep_ser_ms, 3))
+            .with("sweep_parallel_ms", fixed(sweep_par_ms, 3))
+            .with("scatter_serial_ms", fixed(scatter_ser_ms, 3))
+            .with("scatter_parallel_ms", fixed(scatter_par_ms, 3))
+            .with("digest_serial", sweep_ser_digest ^ scatter_ser_digest)
+            .with("digest_parallel", sweep_par_digest ^ scatter_par_digest)
+            .with("host_ms", fixed(host_ms, 3)),
+    );
 
     // Data-plane rate rows: the zero-copy hot paths' host throughput
     // (materialization bytes/s, generation rows/s, engine simulated
@@ -584,20 +570,35 @@ fn main() {
             r.headline_unit(),
             r.host_ms,
         );
-        json_points.push(format!(
-            "    {{\n      \"name\": \"{}\",\n      \"unit\": \"{}\",\n      \
-             \"work\": {},\n      \"rate_per_s\": {},\n      \
-             \"host_ms\": {:.3}\n    }}",
-            r.name, r.unit, r.work, r.rate_per_s, r.host_ms,
-        ));
+        json_points.push(
+            Value::object()
+                .with("name", r.name)
+                .with("unit", r.unit)
+                .with("work", r.work)
+                .with("rate_per_s", r.rate_per_s)
+                .with("host_ms", fixed(r.host_ms, 3)),
+        );
     }
 
     // Default next to the workspace root regardless of the bench CWD.
     let path = std::env::var("HIPE_BENCH_JSON").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_figures.json").into()
     });
-    let json = render_json(rows, &json_points);
-    match std::fs::write(&path, json) {
+    let doc = Value::object()
+        .with("schema", hipe_bench::FIGURES_SCHEMA)
+        .with("bench", "figures")
+        .with("rows", rows)
+        .with("seed", SEED)
+        .with("workers", hipe_bench::bench_workers())
+        .with(
+            "archs",
+            Arch::ALL
+                .iter()
+                .map(|a| Value::from(a.to_string()))
+                .collect::<Vec<_>>(),
+        )
+        .with("points", json_points);
+    match std::fs::write(&path, doc.to_json() + "\n") {
         Ok(()) => println!("# wrote {path}"),
         Err(e) => eprintln!("# could not write {path}: {e}"),
     }
@@ -630,121 +631,93 @@ fn digest_runs(reports: &[RunReport]) -> u64 {
     h
 }
 
-/// Renders one sweep point as a JSON object (the build is offline, so
-/// the JSON is assembled by hand — every string interpolated below is
-/// ASCII without quotes or escapes).
-fn json_point(name: &str, query: &Query, reports: &[RunReport], wall_ms: f64) -> String {
-    let mut out = String::new();
-    let sel = reports[0].selectivity();
-    write!(
-        out,
-        "    {{\n      \"name\": \"{name}\",\n      \"query\": \"{query}\",\n      \
-         \"selectivity\": {sel:.6},\n      \"host_ms\": {wall_ms:.3},\n      \"archs\": {{"
+/// `x` rounded to the `decimals` places the figures record.
+fn fixed(x: f64, decimals: usize) -> Value {
+    Value::Float(
+        format!("{x:.decimals$}")
+            .parse()
+            .expect("a formatted float parses back"),
     )
-    .expect("writing to a String cannot fail");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        // Phase keys are self-describing: `*_end` values are absolute
-        // completion cycles, `*_cycles` are durations, and
-        // cycles == scan_end + gather_cycles.
-        write!(
-            out,
-            "\n        \"{}\": {{\"cycles\": {}, \"dispatch_end\": {}, \"scan_end\": {}, \
-             \"gather_cycles\": {}, \"dram_pj\": {:.1}, \"link_pj\": {:.1}, \
-             \"logic_pj\": {:.1}, \"total_pj\": {:.1}}}{sep}",
-            r.arch,
-            r.cycles,
-            r.phases.dispatch,
-            r.phases.scan,
-            r.phases.gather_aggregate,
-            r.energy.dram_pj(),
-            r.energy.link_pj(),
-            r.energy.logic_pj(),
-            r.energy.total_pj(),
-        )
-        .expect("writing to a String cannot fail");
-    }
-    out.push_str("\n      }\n    }");
-    out
 }
 
-/// Renders one zone-map skip point: per-arch objects carrying the
-/// pruned run's cycles, phase ends and region counters alongside the
-/// unpruned baseline's as `base_*` fields, so `check_figures` can
-/// compare the two runs of the same query without a second row.
-fn skip_json_point(
+/// A host wall-clock duration in milliseconds, to the microsecond.
+fn ms(wall: Duration) -> Value {
+    fixed(wall.as_secs_f64() * 1e3, 3)
+}
+
+/// The fields every query point starts with.
+fn query_point(name: &str, query: &Query, selectivity: f64, wall_ms: f64) -> Value {
+    Value::object()
+        .with("name", name)
+        .with("query", query.to_string())
+        .with("selectivity", fixed(selectivity, 6))
+        .with("host_ms", fixed(wall_ms, 3))
+}
+
+/// One run's cycles and phases. Phase keys are self-describing:
+/// `*_end` values are absolute completion cycles, `*_cycles` are
+/// durations, and cycles == scan_end + gather_cycles.
+fn phases(r: &RunReport) -> Value {
+    Value::object()
+        .with("cycles", r.cycles)
+        .with("dispatch_end", r.phases.dispatch)
+        .with("scan_end", r.phases.scan)
+        .with("gather_cycles", r.phases.gather_aggregate)
+}
+
+/// One sweep point: per-arch phases and energy.
+fn run_point(name: &str, query: &Query, reports: &[RunReport], wall_ms: f64) -> Value {
+    let archs = reports.iter().fold(Value::object(), |archs, r| {
+        let run = phases(r)
+            .with("dram_pj", fixed(r.energy.dram_pj(), 1))
+            .with("link_pj", fixed(r.energy.link_pj(), 1))
+            .with("logic_pj", fixed(r.energy.logic_pj(), 1))
+            .with("total_pj", fixed(r.energy.total_pj(), 1));
+        archs.with(&r.arch.to_string(), run)
+    });
+    query_point(name, query, reports[0].selectivity(), wall_ms).with("archs", archs)
+}
+
+/// One zone-map skip point: per-arch objects carrying the pruned run's
+/// phases and region counters alongside the unpruned baseline's as
+/// `base_*` fields, so `check_figures` can compare the two runs of the
+/// same query without a second row.
+fn skip_point(
     name: &str,
     query: &Query,
     pruned: &[RunReport],
     full: &[RunReport],
     wall_ms: f64,
-) -> String {
-    let mut out = String::new();
-    let sel = pruned[0].selectivity();
-    write!(
-        out,
-        "    {{\n      \"name\": \"{name}\",\n      \"query\": \"{query}\",\n      \
-         \"selectivity\": {sel:.6},\n      \"host_ms\": {wall_ms:.3},\n      \"archs\": {{"
-    )
-    .expect("writing to a String cannot fail");
-    for (i, (p, u)) in pruned.iter().zip(full).enumerate() {
-        let sep = if i + 1 < pruned.len() { "," } else { "" };
-        write!(
-            out,
-            "\n        \"{}\": {{\"cycles\": {}, \"dispatch_end\": {}, \"scan_end\": {}, \
-             \"gather_cycles\": {}, \"regions_scanned\": {}, \"regions_pruned\": {}, \
-             \"base_cycles\": {}, \"base_dispatch_end\": {}, \"base_scan_end\": {}}}{sep}",
-            p.arch,
-            p.cycles,
-            p.phases.dispatch,
-            p.phases.scan,
-            p.phases.gather_aggregate,
-            p.regions_scanned,
-            p.regions_pruned,
-            u.cycles,
-            u.phases.dispatch,
-            u.phases.scan,
-        )
-        .expect("writing to a String cannot fail");
-    }
-    out.push_str("\n      }\n    }");
-    out
+) -> Value {
+    let archs = pruned
+        .iter()
+        .zip(full)
+        .fold(Value::object(), |archs, (p, u)| {
+            let run = phases(p)
+                .with("regions_scanned", p.regions_scanned)
+                .with("regions_pruned", p.regions_pruned)
+                .with("base_cycles", u.cycles)
+                .with("base_dispatch_end", u.phases.dispatch)
+                .with("base_scan_end", u.phases.scan);
+            archs.with(&p.arch.to_string(), run)
+        });
+    query_point(name, query, pruned[0].selectivity(), wall_ms).with("archs", archs)
 }
 
-/// Renders one service-sweep point. No per-arch objects here — the
-/// row describes the service (throughput + latency percentiles + the
-/// failover counters), and every integer field is digit-parseable by
-/// `check_figures`. `extra` carries additional pre-indented
-/// `"key": value,` lines (the `serve_fail` answer digests).
-fn serve_json_point(name: &str, report: &ServiceReport, extra: &str, wall_ms: f64) -> String {
-    format!(
-        "    {{\n      \"name\": \"{name}\",\n      \"shards\": {},\n      \
-         \"replicas\": {},\n      \"queries\": {},\n      \"makespan_cycles\": {},\n      \
-         \"queries_per_gigacycle\": {},\n      \"p50_cycles\": {},\n      \
-         \"p95_cycles\": {},\n      \"p99_cycles\": {},\n      \
-         \"failovers\": {},\n      \"redispatched\": {},\n{extra}      \
-         \"host_ms\": {wall_ms:.3}\n    }}",
-        report.shards,
-        report.replicas,
-        report.queries,
-        report.makespan,
-        report.queries_per_gigacycle(),
-        report.latency.p50,
-        report.latency.p95,
-        report.latency.p99,
-        report.failovers,
-        report.redispatched,
-    )
-}
-
-/// Assembles the sweep document.
-fn render_json(rows: usize, points: &[String]) -> String {
-    let archs: Vec<String> = Arch::ALL.iter().map(|a| format!("\"{a}\"")).collect();
-    format!(
-        "{{\n  \"bench\": \"figures\",\n  \"rows\": {rows},\n  \"seed\": {SEED},\n  \
-         \"workers\": {},\n  \"archs\": [{}],\n  \"points\": [\n{}\n  ]\n}}\n",
-        hipe_bench::bench_workers(),
-        archs.join(", "),
-        points.join(",\n")
-    )
+/// One service-sweep point, without its `host_ms`: the row describes
+/// the service (throughput, latency percentiles and the failover
+/// counters), not per-arch runs.
+fn serve_point(name: &str, report: &ServiceReport) -> Value {
+    Value::object()
+        .with("name", name)
+        .with("shards", report.shards)
+        .with("replicas", report.replicas)
+        .with("queries", report.queries)
+        .with("makespan_cycles", report.makespan)
+        .with("queries_per_gigacycle", report.queries_per_gigacycle())
+        .with("p50_cycles", report.latency.p50)
+        .with("p95_cycles", report.latency.p95)
+        .with("p99_cycles", report.latency.p99)
+        .with("failovers", report.failovers)
+        .with("redispatched", report.redispatched)
 }

@@ -1,8 +1,11 @@
 //! CI schema check for `BENCH_figures.json`.
 //!
-//! The `figures` bench emits the four-machine sweep as hand-rendered
-//! JSON; this binary re-reads the emitted file and fails the pipeline
-//! if the schema drifts — in particular it requires the aggregate
+//! The `figures` bench writes the four-machine sweep through
+//! `hipe_trace::json`; this binary parses the emitted file with the
+//! same module and fails the pipeline if the document is not JSON (a
+//! truncated file, trailing data, a duplicate key), if its `schema` is
+//! missing or not the version this checker reads, or if the figures
+//! drift — in particular it requires the aggregate
 //! sweep (the `agg_*` points plus `q6`) to be present with all four
 //! architectures and non-empty phase breakdowns, so a regression that
 //! silently drops the fused-aggregate rows (or zeroes their cycles)
@@ -55,7 +58,8 @@
 //!
 //! With `--trace [PATH]` the binary validates a Chrome trace written
 //! by `trace_dump` (default `BENCH_trace.json` at the workspace root)
-//! instead of the figures document: every event line must parse, sync
+//! instead of the figures document: the file must parse, every event
+//! must carry the fields its phase requires, sync
 //! spans on each track must nest (a child may not straddle its
 //! parent's end) and end inside the recorded makespan, async
 //! begin/end pairs must balance id-for-id, and the event population
@@ -68,15 +72,13 @@
 //! `cargo run -p hipe-bench --bin check_figures`. The file location
 //! follows the bench's convention: `HIPE_BENCH_JSON` if set, else
 //! `BENCH_figures.json` at the workspace root.
-//!
-//! The parser is intentionally a small line scanner (the workspace is
-//! offline: no serde); it understands exactly the shape the bench
-//! writes.
 
 // The bench harness is the terminal boundary of the workspace: the
 // library-wide print lints stop here.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
+use hipe_bench::FIGURES_SCHEMA;
+use hipe_trace::json::{self, Value};
 use std::process::ExitCode;
 
 /// The architecture labels every selectivity point must report, in
@@ -160,41 +162,93 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Validates the document; returns the number of points on success.
-fn check(text: &str) -> Result<usize, String> {
-    if !text.contains("\"bench\": \"figures\"") {
-        return Err("not a figures document (missing \"bench\": \"figures\")".into());
-    }
-    let archs_line = format!(
-        "\"archs\": [{}]",
-        ARCHS.map(|a| format!("\"{a}\"")).join(", ")
-    );
-    if !text.contains(&archs_line) {
-        return Err(format!("arch list drifted (expected {archs_line})"));
+/// One point of the figures document, or one arch's run within it.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    name: &'a str,
+    arch: Option<&'a str>,
+    value: &'a Value,
+}
+
+impl<'a> Row<'a> {
+    fn lacks(&self, field: &str) -> String {
+        match self.arch {
+            None => format!("point {} lacks {field}", self.name),
+            Some(arch) => format!("point {}: arch {arch} lacks {field}", self.name),
+        }
     }
 
-    // Each point starts with its "name" key; everything up to the next
-    // "name" (or EOF) is that point's block.
-    let blocks: Vec<(String, &str)> = text
-        .match_indices("\"name\": \"")
-        .map(|(at, pat)| {
-            let name_start = at + pat.len();
-            let name_end = text[name_start..]
-                .find('"')
-                .map(|i| name_start + i)
-                .unwrap_or(text.len());
-            let block_end = text[name_end..]
-                .find("\"name\": \"")
-                .map(|i| name_end + i)
-                .unwrap_or(text.len());
-            (text[name_start..name_end].to_string(), &text[at..block_end])
+    /// Non-negative integer `field`.
+    fn num(&self, field: &str) -> Result<u64, String> {
+        let value = self.value.get(field).and_then(Value::as_u64);
+        value.ok_or_else(|| self.lacks(field))
+    }
+
+    /// Numeric `field`, integer or float (the host wall-clock fields).
+    fn ms(&self, field: &str) -> Result<f64, String> {
+        let value = self.value.get(field).and_then(Value::as_f64);
+        value.ok_or_else(|| self.lacks(field))
+    }
+
+    /// The point's run on `arch`, from its `archs` object.
+    fn arch(&self, arch: &'a str) -> Result<Row<'a>, String> {
+        let value = self.value.get("archs").and_then(|archs| archs.get(arch));
+        let value = value.ok_or_else(|| format!("point {}: arch {arch} missing", self.name))?;
+        Ok(Row {
+            arch: Some(arch),
+            value,
+            ..*self
         })
-        .collect();
-    if blocks.is_empty() {
+    }
+}
+
+/// The point named `name`; `sweep` names its sweep in the error.
+fn find<'a>(points: &[Row<'a>], sweep: &str, name: &str) -> Result<Row<'a>, String> {
+    let point = points.iter().find(|p| p.name == name).copied();
+    point.ok_or_else(|| format!("{sweep} point {name} missing"))
+}
+
+/// Validates the document; returns the number of points on success.
+fn check(text: &str) -> Result<usize, String> {
+    let doc = json::parse(text).map_err(|e| format!("not a JSON document: {e}"))?;
+    if doc.get("bench").and_then(Value::as_str) != Some("figures") {
+        return Err("not a figures document (missing \"bench\": \"figures\")".into());
+    }
+    match doc.get("schema") {
+        None => return Err("figures document has no `schema` field".into()),
+        Some(v) if v.as_u64() == Some(FIGURES_SCHEMA) => {}
+        Some(v) => {
+            return Err(format!(
+                "unknown figures schema {} (this checker reads schema {FIGURES_SCHEMA})",
+                v.to_json()
+            ))
+        }
+    }
+    let archs = Value::Array(ARCHS.iter().map(|&a| Value::from(a)).collect());
+    if doc.get("archs") != Some(&archs) {
+        return Err(format!("arch list drifted (expected {})", archs.to_json()));
+    }
+    let mut points = Vec::new();
+    let values = doc.get("points").and_then(Value::as_array);
+    for (i, value) in values
+        .ok_or("figures document has no `points` array")?
+        .iter()
+        .enumerate()
+    {
+        let name = value.get("name").and_then(Value::as_str);
+        let name = name.ok_or_else(|| format!("point #{i} has no name"))?;
+        points.push(Row {
+            name,
+            arch: None,
+            value,
+        });
+    }
+    if points.is_empty() {
         return Err("no sweep points found".into());
     }
 
-    for (name, block) in &blocks {
+    for point in &points {
+        let name = point.name;
         // Service-sweep points describe the scheduler, the
         // host-parallel row describes the simulator, and the perf rows
         // describe host data-plane rates, not per-arch runs; their own
@@ -209,25 +263,17 @@ fn check(text: &str) -> Result<usize, String> {
             &ARCHS
         };
         for &arch in archs {
-            let cycles = arch_field(block, arch, "cycles")
-                .ok_or_else(|| format!("point {name}: arch {arch} missing or lacks cycles"))?;
-            let scan = arch_field(block, arch, "scan_end")
-                .ok_or_else(|| format!("point {name}: arch {arch} lacks scan_end"))?;
-            if cycles == 0 || scan == 0 {
+            let run = point.arch(arch)?;
+            if run.num("cycles")? == 0 || run.num("scan_end")? == 0 {
                 return Err(format!("point {name}: arch {arch} has empty phases"));
             }
         }
     }
 
     for wanted in AGGREGATE_POINTS {
-        let (_, block) = blocks
-            .iter()
-            .find(|(name, _)| name == wanted)
-            .ok_or_else(|| format!("aggregate sweep point {wanted} missing"))?;
+        let point = find(&points, "aggregate sweep", wanted)?;
         for arch in ARCHS {
-            let gather = arch_field(block, arch, "gather_cycles")
-                .ok_or_else(|| format!("point {wanted}: arch {arch} lacks gather_cycles"))?;
-            if gather == 0 {
+            if point.arch(arch)?.num("gather_cycles")? == 0 {
                 return Err(format!(
                     "point {wanted}: arch {arch} reports a zero-cycle aggregate phase"
                 ));
@@ -241,14 +287,9 @@ fn check(text: &str) -> Result<usize, String> {
     for arch in LOGIC_ARCHS {
         let mut prev = (u64::MAX, u64::MAX);
         for wanted in PARTITION_POINTS {
-            let (_, block) = blocks
-                .iter()
-                .find(|(name, _)| name == wanted)
-                .ok_or_else(|| format!("partition sweep point {wanted} missing"))?;
-            let cycles = arch_field(block, arch, "cycles")
-                .ok_or_else(|| format!("point {wanted}: arch {arch} lacks cycles"))?;
-            let scan = arch_field(block, arch, "scan_end")
-                .ok_or_else(|| format!("point {wanted}: arch {arch} lacks scan_end"))?;
+            let run = find(&points, "partition sweep", wanted)?.arch(arch)?;
+            let cycles = run.num("cycles")?;
+            let scan = run.num("scan_end")?;
             if scan > prev.0 || cycles > prev.1 {
                 return Err(format!(
                     "point {wanted}: {arch} got slower with more engines \
@@ -263,15 +304,9 @@ fn check(text: &str) -> Result<usize, String> {
     // Service sweep: every cube count present, throughput monotone
     // non-decreasing in cube count, percentiles present and ordered.
     let mut prev_qpgc = 0;
-    let mut serve_4_qpgc = 0;
-    let mut serve_4x2_qpgc = 0;
     for wanted in SERVE_POINTS {
-        let (_, block) = blocks
-            .iter()
-            .find(|(name, _)| name == wanted)
-            .ok_or_else(|| format!("service sweep point {wanted} missing"))?;
-        let qpgc = point_field(block, "queries_per_gigacycle")
-            .ok_or_else(|| format!("point {wanted} lacks queries_per_gigacycle"))?;
+        let point = find(&points, "service sweep", wanted)?;
+        let qpgc = point.num("queries_per_gigacycle")?;
         if qpgc == 0 {
             return Err(format!("point {wanted}: zero service throughput"));
         }
@@ -282,17 +317,9 @@ fn check(text: &str) -> Result<usize, String> {
             ));
         }
         prev_qpgc = qpgc;
-        match wanted {
-            "serve_4" => serve_4_qpgc = qpgc,
-            "serve_4x2" => serve_4x2_qpgc = qpgc,
-            _ => {}
-        }
-        let p50 = point_field(block, "p50_cycles")
-            .ok_or_else(|| format!("point {wanted} lacks p50_cycles"))?;
-        let p95 = point_field(block, "p95_cycles")
-            .ok_or_else(|| format!("point {wanted} lacks p95_cycles"))?;
-        let p99 = point_field(block, "p99_cycles")
-            .ok_or_else(|| format!("point {wanted} lacks p99_cycles"))?;
+        let p50 = point.num("p50_cycles")?;
+        let p95 = point.num("p95_cycles")?;
+        let p99 = point.num("p99_cycles")?;
         if p50 == 0 || p50 > p95 || p95 > p99 {
             return Err(format!(
                 "point {wanted}: latency percentiles disordered \
@@ -304,11 +331,10 @@ fn check(text: &str) -> Result<usize, String> {
     // Replication: two replicas per shard must buy at least 1.7x of
     // the single-replica throughput (integer-only: qpgc_4x2 / qpgc_4
     // >= 17/10), and the point must really carry two replicas.
-    let (_, block_4x2) = blocks
-        .iter()
-        .find(|(name, _)| name == "serve_4x2")
-        .expect("presence checked in the sweep loop");
-    if point_field(block_4x2, "replicas") != Some(2) {
+    let serve_4_qpgc = find(&points, "service sweep", "serve_4")?.num("queries_per_gigacycle")?;
+    let serve_4x2 = find(&points, "service sweep", "serve_4x2")?;
+    let serve_4x2_qpgc = serve_4x2.num("queries_per_gigacycle")?;
+    if serve_4x2.num("replicas") != Ok(2) {
         return Err("point serve_4x2 does not report 2 replicas".into());
     }
     if serve_4x2_qpgc * 10 < serve_4_qpgc * 17 {
@@ -317,21 +343,17 @@ fn check(text: &str) -> Result<usize, String> {
              ({serve_4_qpgc} -> {serve_4x2_qpgc} q/Gcyc)"
         ));
     }
-    let queries_4x2 = point_field(block_4x2, "queries").ok_or("point serve_4x2 lacks queries")?;
+    let queries_4x2 = serve_4x2.num("queries")?;
 
     // Failover: the kill actually fired, every query was still
     // served, and on every architecture the answer digest equals the
     // fault-free run's — bit-identical failover, machine-checked.
-    let (_, fail) = blocks
-        .iter()
-        .find(|(name, _)| name == "serve_fail")
-        .ok_or("failover point serve_fail missing")?;
-    let failovers = point_field(fail, "failovers").ok_or("point serve_fail lacks failovers")?;
-    if failovers == 0 {
+    let fail = find(&points, "failover", "serve_fail")?;
+    if fail.num("failovers")? == 0 {
         return Err("point serve_fail: no failover fired (the fault was a no-op)".into());
     }
-    point_field(fail, "redispatched").ok_or("point serve_fail lacks redispatched")?;
-    let queries_fail = point_field(fail, "queries").ok_or("point serve_fail lacks queries")?;
+    fail.num("redispatched")?;
+    let queries_fail = fail.num("queries")?;
     if queries_fail != queries_4x2 {
         return Err(format!(
             "point serve_fail: lost queries under failover \
@@ -339,10 +361,8 @@ fn check(text: &str) -> Result<usize, String> {
         ));
     }
     for arch in ARCHS {
-        let clean = point_field(fail, &format!("digest_{arch}_clean"))
-            .ok_or_else(|| format!("point serve_fail lacks digest_{arch}_clean"))?;
-        let fault = point_field(fail, &format!("digest_{arch}_fault"))
-            .ok_or_else(|| format!("point serve_fail lacks digest_{arch}_fault"))?;
+        let clean = fail.num(&format!("digest_{arch}_clean"))?;
+        let fault = fail.num(&format!("digest_{arch}_fault"))?;
         if clean != fault {
             return Err(format!(
                 "point serve_fail: {arch} answer digest changed under failover \
@@ -357,38 +377,26 @@ fn check(text: &str) -> Result<usize, String> {
     // and dispatch completion by at least 1.5x (integer-only:
     // base * 10 >= pruned * 15).
     for wanted in SKIP_POINTS {
-        let (_, block) = blocks
-            .iter()
-            .find(|(name, _)| name == wanted)
-            .ok_or_else(|| format!("zone-map skip point {wanted} missing"))?;
+        let point = find(&points, "zone-map skip", wanted)?;
         let tight = SKIP_TIGHT_POINTS.contains(&wanted);
         for arch in ARCHS {
-            let cycles = arch_field(block, arch, "cycles")
-                .ok_or_else(|| format!("point {wanted}: arch {arch} lacks cycles"))?;
-            let base_cycles = arch_field(block, arch, "base_cycles")
-                .ok_or_else(|| format!("point {wanted}: arch {arch} lacks base_cycles"))?;
+            let run = point.arch(arch)?;
+            let cycles = run.num("cycles")?;
+            let base_cycles = run.num("base_cycles")?;
             if cycles > base_cycles {
                 return Err(format!(
                     "point {wanted}: {arch} pruned run slower than unpruned \
                      ({base_cycles} -> {cycles} cycles)"
                 ));
             }
-            let pruned = arch_field(block, arch, "regions_pruned")
-                .ok_or_else(|| format!("point {wanted}: arch {arch} lacks regions_pruned"))?;
-            if pruned == 0 {
+            if run.num("regions_pruned")? == 0 {
                 return Err(format!("point {wanted}: {arch} pruned no regions"));
             }
             if tight {
-                let scan = arch_field(block, arch, "scan_end")
-                    .ok_or_else(|| format!("point {wanted}: arch {arch} lacks scan_end"))?;
-                let base_scan = arch_field(block, arch, "base_scan_end")
-                    .ok_or_else(|| format!("point {wanted}: arch {arch} lacks base_scan_end"))?;
-                let dispatch = arch_field(block, arch, "dispatch_end")
-                    .ok_or_else(|| format!("point {wanted}: arch {arch} lacks dispatch_end"))?;
-                let base_dispatch =
-                    arch_field(block, arch, "base_dispatch_end").ok_or_else(|| {
-                        format!("point {wanted}: arch {arch} lacks base_dispatch_end")
-                    })?;
+                let scan = run.num("scan_end")?;
+                let base_scan = run.num("base_scan_end")?;
+                let dispatch = run.num("dispatch_end")?;
+                let base_dispatch = run.num("base_dispatch_end")?;
                 if base_scan * 10 < scan * 15 || base_dispatch * 10 < dispatch * 15 {
                     return Err(format!(
                         "point {wanted}: {arch} skip win below 1.5x \
@@ -401,18 +409,12 @@ fn check(text: &str) -> Result<usize, String> {
 
     // Serve skip row: the scatter path must really have skipped shards,
     // at no cycle cost over the full scatter.
-    let (_, skip) = blocks
-        .iter()
-        .find(|(name, _)| name == "serve_skip")
-        .ok_or("shard-skipping point serve_skip missing")?;
-    let skipped =
-        point_field(skip, "shards_skipped").ok_or("point serve_skip lacks shards_skipped")?;
-    if skipped == 0 {
+    let skip = find(&points, "shard-skipping", "serve_skip")?;
+    if skip.num("shards_skipped")? == 0 {
         return Err("point serve_skip: the scatter path skipped no shards".into());
     }
-    let cycles = point_field(skip, "cycles").ok_or("point serve_skip lacks cycles")?;
-    let base_cycles =
-        point_field(skip, "base_cycles").ok_or("point serve_skip lacks base_cycles")?;
+    let cycles = skip.num("cycles")?;
+    let base_cycles = skip.num("base_cycles")?;
     if cycles > base_cycles {
         return Err(format!(
             "point serve_skip: shard skipping slower than the full scatter \
@@ -425,18 +427,11 @@ fn check(text: &str) -> Result<usize, String> {
     // measured hot path did no work per unit time (a recording bug or
     // a catastrophic regression either way).
     for wanted in PERF_POINTS {
-        let (_, block) = blocks
-            .iter()
-            .find(|(name, _)| name == wanted)
-            .ok_or_else(|| format!("data-plane rate point {wanted} missing"))?;
-        let work =
-            point_field(block, "work").ok_or_else(|| format!("point {wanted} lacks work"))?;
-        if work == 0 {
+        let point = find(&points, "data-plane rate", wanted)?;
+        if point.num("work")? == 0 {
             return Err(format!("point {wanted}: zero work per iteration"));
         }
-        let rate = point_field(block, "rate_per_s")
-            .ok_or_else(|| format!("point {wanted} lacks rate_per_s"))?;
-        if rate == 0 {
+        if point.num("rate_per_s")? == 0 {
             return Err(format!("point {wanted}: zero data-plane rate"));
         }
     }
@@ -444,44 +439,36 @@ fn check(text: &str) -> Result<usize, String> {
     // Host wall-clock: every row must record how long the simulator
     // itself took (the figures track simulated cycles *and* the cost
     // of producing them).
-    for (name, block) in &blocks {
-        point_field(block, "host_ms")
-            .ok_or_else(|| format!("point {name} lacks host_ms (host wall-clock)"))?;
+    for point in &points {
+        point.ms("host_ms")?;
     }
 
     // Host-parallel speedup row: both legs must have produced
     // bit-identical results (equal digests), and the 4-worker legs
-    // must not be slower than the serial ones (millisecond-integer
+    // must not be slower than the serial ones (whole-millisecond
     // comparison; the bench itself asserts the digests too). The
     // wall-clock requirement only applies when the recording host had
     // at least two CPUs — on a single-core runner the parallel leg
     // cannot win and the comparison is pure scheduler noise.
-    let (_, par) = blocks
-        .iter()
-        .find(|(name, _)| name == "host_par")
-        .ok_or("host-parallel point host_par missing")?;
-    let workers = point_field(par, "workers").ok_or("point host_par lacks workers")?;
+    let par = find(&points, "host-parallel", "host_par")?;
+    let workers = par.num("workers")?;
     if workers < 2 {
         return Err(format!(
             "point host_par: parallel leg ran on {workers} worker(s)"
         ));
     }
-    let digest_serial =
-        point_field(par, "digest_serial").ok_or("point host_par lacks digest_serial")?;
-    let digest_parallel =
-        point_field(par, "digest_parallel").ok_or("point host_par lacks digest_parallel")?;
+    let digest_serial = par.num("digest_serial")?;
+    let digest_parallel = par.num("digest_parallel")?;
     if digest_serial != digest_parallel {
         return Err(format!(
             "point host_par: parallel results diverged from serial \
              (digest {digest_serial} vs {digest_parallel})"
         ));
     }
-    let host_cpus = point_field(par, "host_cpus").ok_or("point host_par lacks host_cpus")?;
+    let host_cpus = par.num("host_cpus")?;
     for leg in ["sweep", "scatter"] {
-        let serial = point_field(par, &format!("{leg}_serial_ms"))
-            .ok_or_else(|| format!("point host_par lacks {leg}_serial_ms"))?;
-        let parallel = point_field(par, &format!("{leg}_parallel_ms"))
-            .ok_or_else(|| format!("point host_par lacks {leg}_parallel_ms"))?;
+        let serial = par.ms(&format!("{leg}_serial_ms"))?.trunc();
+        let parallel = par.ms(&format!("{leg}_parallel_ms"))?.trunc();
         if host_cpus >= 2 && parallel > serial {
             return Err(format!(
                 "point host_par: {leg} slower on {workers} workers than serial \
@@ -489,112 +476,45 @@ fn check(text: &str) -> Result<usize, String> {
             ));
         }
     }
-    Ok(blocks.len())
-}
-
-/// Extracts top-level integer `field` from a point block.
-///
-/// The search stops at the nested per-arch object map (point-level
-/// fields precede it), and a key only counts when it sits at a JSON
-/// delimiter — `{`, `,`, or whitespace — so the same text inside a
-/// string value (where the quote would be escaped) or in the middle
-/// of a longer field name cannot satisfy it.
-fn point_field(block: &str, field: &str) -> Option<u64> {
-    let top = &block[..block.find("\"archs\": {").unwrap_or(block.len())];
-    let key = format!("\"{field}\": ");
-    let mut from = 0;
-    while let Some(i) = top[from..].find(&key) {
-        let at = from + i;
-        let anchored = top[..at]
-            .chars()
-            .next_back()
-            .is_none_or(|c| c == '{' || c == ',' || c.is_whitespace());
-        if anchored {
-            let digits: String = top[at + key.len()..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            return digits.parse().ok();
-        }
-        from = at + key.len();
-    }
-    None
-}
-
-/// Extracts integer `field` from `arch`'s object within a point block.
-fn arch_field(block: &str, arch: &str, field: &str) -> Option<u64> {
-    let obj_at = block.find(&format!("\"{arch}\": {{"))?;
-    let obj = &block[obj_at..block[obj_at..].find('}').map(|i| obj_at + i)?];
-    let key = format!("\"{field}\": ");
-    let at = obj.find(&key)? + key.len();
-    let digits: String = obj[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+    Ok(points.len())
 }
 
 // ---------------------------------------------------------------------
 // Trace validation (`--trace`): the Chrome trace written by trace_dump.
 // ---------------------------------------------------------------------
 
-/// Extracts integer `key` from the trace's `otherData` header. The
-/// header grammar puts a space after the colon (`"key": 42`); event
-/// lines use `"key":42` with no space, so the two scans cannot match
-/// each other's fields.
-fn other_num(head: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\": ");
-    let at = head
-        .find(&pat)
-        .ok_or_else(|| format!("otherData is missing `{key}`"))?;
-    let digits: String = head[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits
-        .parse()
-        .map_err(|_| format!("otherData `{key}` is not a non-negative integer"))
-}
-
-/// Extracts integer `key` from one event line (`"key":42`).
-fn evt_num(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts string `key` from one event line (`"key":"value"`). The
-/// structural fields this reads (`ph`, `name`) never contain escapes.
-fn evt_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    rest.find('"').map(|end| &rest[..end])
-}
-
 /// Validates a Chrome trace document; returns `(events, query spans)`
 /// on success.
 ///
-/// Checks, in order: every event line parses with the structural
-/// fields its phase requires; sync spans on each track nest properly
-/// (sorted by start, a span must close before the enclosing span's
-/// end) and end within the recorded makespan; async begin/end events
-/// pair one-to-one by id with `end.ts >= begin.ts`; and the event
-/// population reconciles with the `ServiceReport` counters in
+/// Checks, in order: the document parses and every event carries the
+/// structural fields its phase requires; sync spans on each track nest
+/// properly (sorted by start, a span must close before the enclosing
+/// span's end) and end within the recorded makespan; async begin/end
+/// events pair one-to-one by id with `end.ts >= begin.ts`; and the
+/// event population reconciles with the `ServiceReport` counters in
 /// `otherData` — async spans on the `queries` track == queries
 /// served, `fault.kill` instants == failovers, `redispatch` instants
 /// == re-dispatched sub-queries, total events == the recorder's count.
 fn check_trace(text: &str) -> Result<(u64, u64), String> {
     use std::collections::BTreeMap;
 
-    let events_at = text
-        .find("\"traceEvents\": [")
+    let doc = json::parse(text).map_err(|e| format!("not a JSON document: {e}"))?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
         .ok_or("not a trace document (missing \"traceEvents\" array)")?;
-    let head = &text[..events_at];
-    let queries = other_num(head, "queries")?;
-    let failovers = other_num(head, "failovers")?;
-    let redispatched = other_num(head, "redispatched")?;
-    let events = other_num(head, "events")?;
-    let makespan = other_num(head, "makespan_cyc")?;
+    let reported = |key: &str| -> Result<u64, String> {
+        doc.get("otherData")
+            .and_then(|other| other.get(key))
+            .ok_or_else(|| format!("otherData is missing `{key}`"))?
+            .as_u64()
+            .ok_or_else(|| format!("otherData `{key}` is not a non-negative integer"))
+    };
+    let queries = reported("queries")?;
+    let failovers = reported("failovers")?;
+    let redispatched = reported("redispatched")?;
+    let recorded = reported("events")?;
+    let makespan = reported("makespan_cyc")?;
 
     let mut queries_tid: Option<u64> = None;
     let mut sync_spans: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
@@ -603,48 +523,52 @@ fn check_trace(text: &str) -> Result<(u64, u64), String> {
     let (mut x_count, mut i_count, mut c_count) = (0u64, 0u64, 0u64);
     let (mut kills, mut redispatches) = (0u64, 0u64);
 
-    for raw in text[events_at..].lines() {
-        let line = raw.trim_start().trim_end_matches(',');
-        if !line.starts_with("{\"ph\":\"") {
-            continue;
-        }
-        let ph = evt_str(line, "ph").ok_or_else(|| format!("event has no phase: {line}"))?;
+    for event in events {
+        let text = || event.to_json();
+        let num = |key: &str, what: &str| {
+            event
+                .get(key)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("{what} has no {key}: {}", text()))
+        };
+        let name = event.get("name").and_then(Value::as_str);
+        let ph = event
+            .get("ph")
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("event has no phase: {}", text()))?;
         if ph == "M" {
-            if evt_str(line, "name") == Some("thread_name")
-                && line.contains("\"args\":{\"name\":\"queries\"}")
-            {
-                queries_tid = Some(evt_num(line, "tid").ok_or("thread_name record without a tid")?);
+            let row = event.get("args").and_then(|a| a.get("name"));
+            if name == Some("thread_name") && row.and_then(Value::as_str) == Some("queries") {
+                queries_tid = Some(num("tid", "thread_name record")?);
             }
             continue;
         }
-        let tid = evt_num(line, "tid").ok_or_else(|| format!("event has no tid: {line}"))?;
-        let ts = evt_num(line, "ts").ok_or_else(|| format!("event has no ts: {line}"))?;
+        let tid = num("tid", "event")?;
+        let ts = num("ts", "event")?;
         match ph {
             "X" => {
-                let dur = evt_num(line, "dur")
-                    .ok_or_else(|| format!("complete event has no dur: {line}"))?;
-                if ts + dur > makespan {
+                let end = ts.saturating_add(num("dur", "complete event")?);
+                if end > makespan {
                     return Err(format!(
-                        "span ends at {} cyc, past the {makespan} cyc makespan: {line}",
-                        ts + dur
+                        "span ends at {end} cyc, past the {makespan} cyc makespan: {}",
+                        text()
                     ));
                 }
-                sync_spans.entry(tid).or_default().push((ts, dur));
+                sync_spans.entry(tid).or_default().push((ts, end));
                 x_count += 1;
             }
             "b" => {
-                let id =
-                    evt_num(line, "id").ok_or_else(|| format!("async begin has no id: {line}"))?;
+                let id = num("id", "async begin")?;
                 if begins.insert(id, (tid, ts)).is_some() {
                     return Err(format!("async id {id} begun twice"));
                 }
             }
             "e" => {
-                let id =
-                    evt_num(line, "id").ok_or_else(|| format!("async end has no id: {line}"))?;
+                let id = num("id", "async end")?;
                 if ts > makespan {
                     return Err(format!(
-                        "async span ends at {ts} cyc, past the {makespan} cyc makespan: {line}"
+                        "async span ends at {ts} cyc, past the {makespan} cyc makespan: {}",
+                        text()
                     ));
                 }
                 if ends.insert(id, ts).is_some() {
@@ -652,19 +576,22 @@ fn check_trace(text: &str) -> Result<(u64, u64), String> {
                 }
             }
             "i" => {
-                match evt_str(line, "name") {
+                match name {
                     Some("fault.kill") => kills += 1,
                     Some("redispatch") => redispatches += 1,
                     Some(_) => {}
-                    None => return Err(format!("instant has no name: {line}")),
+                    None => return Err(format!("instant has no name: {}", text())),
                 }
                 i_count += 1;
             }
             "C" => {
-                evt_num(line, "value").ok_or_else(|| format!("counter has no value: {line}"))?;
+                let value = event.get("args").and_then(|a| a.get("value"));
+                value
+                    .and_then(Value::as_u64)
+                    .ok_or_else(|| format!("counter has no value: {}", text()))?;
                 c_count += 1;
             }
-            other => return Err(format!("unknown phase `{other}`: {line}")),
+            other => return Err(format!("unknown phase `{other}`: {}", text())),
         }
     }
 
@@ -687,29 +614,28 @@ fn check_trace(text: &str) -> Result<(u64, u64), String> {
         }
     }
 
-    // Sync spans on each track must nest: sorted by (start asc, dur
+    // Sync spans on each track must nest: sorted by (start asc, end
     // desc), every span must close before the innermost still-open
     // enclosing span does.
     for (tid, spans) in sync_spans.iter_mut() {
         spans.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         let mut open: Vec<u64> = Vec::new();
-        for &(ts, dur) in spans.iter() {
-            while let Some(&end) = open.last() {
-                if end <= ts {
+        for &(ts, end) in spans.iter() {
+            while let Some(&outer) = open.last() {
+                if outer <= ts {
                     open.pop();
                 } else {
                     break;
                 }
             }
-            if let Some(&end) = open.last() {
-                if ts + dur > end {
+            if let Some(&outer) = open.last() {
+                if end > outer {
                     return Err(format!(
-                        "track {tid}: span [{ts}, {}] straddles its parent's end at {end}",
-                        ts + dur
+                        "track {tid}: span [{ts}, {end}] straddles its parent's end at {outer}"
                     ));
                 }
             }
-            open.push(ts + dur);
+            open.push(end);
         }
     }
 
@@ -732,9 +658,9 @@ fn check_trace(text: &str) -> Result<(u64, u64), String> {
         ));
     }
     let total = x_count + i_count + c_count + begins.len() as u64;
-    if total != events {
+    if total != recorded {
         return Err(format!(
-            "decoded {total} events, the recorder wrote {events}"
+            "decoded {total} events, the recorder wrote {recorded}"
         ));
     }
     Ok((total, query_spans))
@@ -744,111 +670,90 @@ fn check_trace(text: &str) -> Result<(u64, u64), String> {
 mod tests {
     use super::*;
 
-    fn four_arch_point(name: &str, gather: u64) -> String {
-        let archs: Vec<String> = ARCHS
+    /// An `archs` object with one run per machine.
+    fn archs(machines: &[&str], run: impl Fn(&str) -> Value) -> Value {
+        machines
             .iter()
-            .map(|a| {
-                format!(
-                    "\"{a}\": {{\"cycles\": 100, \"dispatch_end\": 1, \"scan_end\": 90, \
-                     \"gather_cycles\": {gather}}}"
-                )
-            })
-            .collect();
-        format!(
-            "{{\"name\": \"{name}\", \"host_ms\": 12.500, \"archs\": {{{}}}}}",
-            archs.join(", ")
-        )
+            .fold(Value::object(), |archs, &a| archs.with(a, run(a)))
     }
 
-    fn par_point(name: &str, cycles: u64) -> String {
-        let archs: Vec<String> = LOGIC_ARCHS
-            .iter()
-            .map(|a| {
-                format!(
-                    "\"{a}\": {{\"cycles\": {cycles}, \"dispatch_end\": 1, \
-                     \"scan_end\": {}, \"gather_cycles\": 5}}",
-                    cycles - 10
-                )
-            })
-            .collect();
-        format!(
-            "{{\"name\": \"{name}\", \"host_ms\": 8.125, \"archs\": {{{}}}}}",
-            archs.join(", ")
-        )
+    fn phases(cycles: u64, dispatch: u64, scan: u64, gather: u64) -> Value {
+        Value::object()
+            .with("cycles", cycles)
+            .with("dispatch_end", dispatch)
+            .with("scan_end", scan)
+            .with("gather_cycles", gather)
     }
 
-    fn serve_point(name: &str, replicas: u64, qpgc: u64, p50: u64, p95: u64, p99: u64) -> String {
-        format!(
-            "{{\"name\": \"{name}\", \"shards\": 1, \"replicas\": {replicas}, \
-             \"queries\": 96, \"makespan_cycles\": 1000, \"queries_per_gigacycle\": {qpgc}, \
-             \"p50_cycles\": {p50}, \"p95_cycles\": {p95}, \"p99_cycles\": {p99}, \
-             \"failovers\": 0, \"redispatched\": 0, \"host_ms\": 20.000}}"
-        )
+    fn four_arch_point(name: &str, gather: u64) -> Value {
+        Value::object()
+            .with("name", name)
+            .with("host_ms", 12.5)
+            .with("archs", archs(&ARCHS, |_| phases(100, 1, 90, gather)))
     }
 
-    fn fail_point(queries: u64, failovers: u64, hipe_fault_digest: u64) -> String {
-        let digests: Vec<String> = ARCHS
-            .iter()
-            .map(|a| {
-                let fault = if *a == "HIPE" { hipe_fault_digest } else { 11 };
-                format!("\"digest_{a}_clean\": 11, \"digest_{a}_fault\": {fault}")
-            })
-            .collect();
-        format!(
-            "{{\"name\": \"serve_fail\", \"shards\": 4, \"replicas\": 2, \
-             \"queries\": {queries}, \"makespan_cycles\": 1000, \
-             \"queries_per_gigacycle\": 700, \"p50_cycles\": 100, \"p95_cycles\": 200, \
-             \"p99_cycles\": 300, \"failovers\": {failovers}, \"redispatched\": 6, \
-             \"host_ms\": 31.000, {}}}",
-            digests.join(", ")
-        )
+    fn par_point(name: &str, cycles: u64) -> Value {
+        let run = |_: &str| phases(cycles, 1, cycles - 10, 5);
+        Value::object()
+            .with("name", name)
+            .with("host_ms", 8.125)
+            .with("archs", archs(&LOGIC_ARCHS, run))
+    }
+
+    fn serve_point(name: &str, replicas: u64, qpgc: u64, queries: u64) -> Value {
+        Value::object()
+            .with("name", name)
+            .with("shards", 1u64)
+            .with("replicas", replicas)
+            .with("queries", queries)
+            .with("makespan_cycles", 1000u64)
+            .with("queries_per_gigacycle", qpgc)
+            .with("p50_cycles", 100u64)
+            .with("p95_cycles", 200u64)
+            .with("p99_cycles", 300u64)
+            .with("failovers", 0u64)
+            .with("redispatched", 0u64)
+            .with("host_ms", 20.0)
+    }
+
+    fn fail_point() -> Value {
+        let mut point = serve_point("serve_fail", 2, 700, 96);
+        set(&mut point, "failovers", 1u64);
+        set(&mut point, "redispatched", 6u64);
+        ARCHS.iter().fold(point, |point, a| {
+            point
+                .with(&format!("digest_{a}_clean"), 11u64)
+                .with(&format!("digest_{a}_fault"), 11u64)
+        })
     }
 
     /// A skip point whose pruned phases all complete at `scan` and
     /// whose unpruned baseline completes at `base`.
-    fn skip_point(name: &str, scan: u64, base: u64) -> String {
-        let archs: Vec<String> = ARCHS
-            .iter()
-            .map(|a| {
-                format!(
-                    "\"{a}\": {{\"cycles\": {scan}, \"dispatch_end\": {scan}, \
-                     \"scan_end\": {scan}, \"gather_cycles\": 0, \"regions_scanned\": 2, \
-                     \"regions_pruned\": 62, \"base_cycles\": {base}, \
-                     \"base_dispatch_end\": {base}, \"base_scan_end\": {base}}}"
-                )
-            })
-            .collect();
-        format!(
-            "{{\"name\": \"{name}\", \"host_ms\": 6.250, \"archs\": {{{}}}}}",
-            archs.join(", ")
-        )
+    fn skip_point(name: &str, scan: u64, base: u64) -> Value {
+        let run = |_: &str| {
+            phases(scan, scan, scan, 0)
+                .with("regions_scanned", 2u64)
+                .with("regions_pruned", 62u64)
+                .with("base_cycles", base)
+                .with("base_dispatch_end", base)
+                .with("base_scan_end", base)
+        };
+        Value::object()
+            .with("name", name)
+            .with("host_ms", 6.25)
+            .with("archs", archs(&ARCHS, run))
     }
 
-    fn serve_skip_point(skipped: u64, cycles: u64, base: u64) -> String {
-        format!(
-            "{{\"name\": \"serve_skip\", \"shards\": 4, \"shards_skipped\": {skipped}, \
-             \"cycles\": {cycles}, \"base_cycles\": {base}, \"host_ms\": 4.750}}"
-        )
+    fn perf_point(name: &str, unit: &str, work: u64, rate: u64) -> Value {
+        Value::object()
+            .with("name", name)
+            .with("unit", unit)
+            .with("work", work)
+            .with("rate_per_s", rate)
+            .with("host_ms", 2.375)
     }
 
-    fn perf_point(name: &str, unit: &str, work: u64, rate: u64) -> String {
-        format!(
-            "{{\"name\": \"{name}\", \"unit\": \"{unit}\", \"work\": {work}, \
-             \"rate_per_s\": {rate}, \"host_ms\": 2.375}}"
-        )
-    }
-
-    fn host_par_point(sweep: (u64, u64), scatter: (u64, u64), digests: (u64, u64)) -> String {
-        format!(
-            "{{\"name\": \"host_par\", \"workers\": 4, \"host_cpus\": 8, \
-             \"sweep_serial_ms\": {}.210, \"sweep_parallel_ms\": {}.125, \
-             \"scatter_serial_ms\": {}.300, \"scatter_parallel_ms\": {}.400, \
-             \"digest_serial\": {}, \"digest_parallel\": {}, \"host_ms\": 99.000}}",
-            sweep.0, sweep.1, scatter.0, scatter.1, digests.0, digests.1
-        )
-    }
-
-    fn doc_full(gather_q6: u64, par_cycles: [u64; 4], serve_qpgc: [u64; 4]) -> String {
+    fn doc_full(gather_q6: u64, par_cycles: [u64; 4], serve_qpgc: [u64; 4]) -> Value {
         let mut points = vec![
             four_arch_point("sel_2%", 0),
             four_arch_point("agg_2%", 7),
@@ -861,16 +766,34 @@ mod tests {
         }
         for (name, qpgc) in SERVE_POINTS.iter().zip(serve_qpgc) {
             let replicas = if *name == "serve_4x2" { 2 } else { 1 };
-            points.push(serve_point(name, replicas, qpgc, 100, 200, 300));
+            points.push(serve_point(name, replicas, qpgc, 96));
         }
-        points.push(fail_point(96, 1, 11));
-        // Distinct bases keep the skip rows individually addressable
-        // by the failure-injection tests' string replacements.
+        points.push(fail_point());
         points.push(skip_point("skip_1%", 10, 300));
         points.push(skip_point("skip_3%", 20, 200));
         points.push(skip_point("skip_10%", 60, 100));
-        points.push(serve_skip_point(3, 40, 90));
-        points.push(host_par_point((100, 30), (80, 25), (42, 42)));
+        points.push(
+            Value::object()
+                .with("name", "serve_skip")
+                .with("shards", 4u64)
+                .with("shards_skipped", 3u64)
+                .with("cycles", 40u64)
+                .with("base_cycles", 90u64)
+                .with("host_ms", 4.75),
+        );
+        points.push(
+            Value::object()
+                .with("name", "host_par")
+                .with("workers", 4u64)
+                .with("host_cpus", 8u64)
+                .with("sweep_serial_ms", 100.21)
+                .with("sweep_parallel_ms", 30.125)
+                .with("scatter_serial_ms", 80.3)
+                .with("scatter_parallel_ms", 25.4)
+                .with("digest_serial", 42u64)
+                .with("digest_parallel", 42u64)
+                .with("host_ms", 99.0),
+        );
         points.push(perf_point(
             "perf_materialize",
             "bytes",
@@ -879,31 +802,130 @@ mod tests {
         ));
         points.push(perf_point("perf_generate", "rows", 32_768, 60_000_000));
         points.push(perf_point("perf_engine", "instr", 98_304, 20_000_000));
-        format!(
-            "{{\"bench\": \"figures\", \"archs\": [\"x86\", \"HMC-ISA\", \"HIVE\", \"HIPE\"], \
-             \"points\": [{}]}}",
-            points.join(", ")
-        )
+        Value::object()
+            .with("schema", FIGURES_SCHEMA)
+            .with("bench", "figures")
+            .with(
+                "archs",
+                ARCHS.iter().map(|&a| Value::from(a)).collect::<Vec<_>>(),
+            )
+            .with("points", points)
     }
 
-    fn doc_with(gather_q6: u64, par_cycles: [u64; 4]) -> String {
+    fn doc_with(gather_q6: u64, par_cycles: [u64; 4]) -> Value {
         doc_full(gather_q6, par_cycles, [100, 180, 300, 600])
     }
 
-    fn doc(gather_q6: u64) -> String {
+    fn doc(gather_q6: u64) -> Value {
         doc_with(gather_q6, [800, 400, 200, 100])
+    }
+
+    /// Checks a fixture through the writer and the parser.
+    fn checked(doc: &Value) -> Result<usize, String> {
+        check(&doc.to_json())
+    }
+
+    /// The fixture's point named `name`.
+    fn point<'a>(doc: &'a mut Value, name: &str) -> &'a mut Value {
+        match field(doc, "points") {
+            Value::Array(points) => points
+                .iter_mut()
+                .find(|p| p.get("name").and_then(Value::as_str) == Some(name))
+                .expect("fixture point"),
+            _ => panic!("fixture without points"),
+        }
+    }
+
+    /// `doc` with `edit` applied to the point named `name`.
+    fn edited(mut doc: Value, name: &str, edit: impl FnOnce(&mut Value)) -> Value {
+        edit(point(&mut doc, name));
+        doc
+    }
+
+    /// Member `key` of the fixture object `obj`.
+    fn field<'a>(obj: &'a mut Value, key: &str) -> &'a mut Value {
+        match obj {
+            Value::Object(members) => {
+                let member = members.iter_mut().find(|(k, _)| k == key);
+                &mut member.expect("fixture field").1
+            }
+            _ => panic!("not an object"),
+        }
+    }
+
+    fn set(obj: &mut Value, key: &str, value: impl Into<Value>) {
+        *field(obj, key) = value.into();
+    }
+
+    /// Renames member `from` of `obj` to `to`.
+    fn rename(obj: &mut Value, from: &str, to: &str) {
+        match obj {
+            Value::Object(members) => {
+                let member = members.iter_mut().find(|(k, _)| k == from);
+                member.expect("fixture field").0 = to.to_string();
+            }
+            _ => panic!("not an object"),
+        }
+    }
+
+    fn remove(obj: &mut Value, key: &str) {
+        match obj {
+            Value::Object(members) => members.retain(|(k, _)| k != key),
+            _ => panic!("not an object"),
+        }
+    }
+
+    /// `doc` with the point `from` renamed to `to`.
+    fn renamed_point(doc: Value, from: &str, to: &str) -> Value {
+        edited(doc, from, |p| set(p, "name", to))
+    }
+
+    /// `doc` with `key` of `arch`'s run in point `name` set to `value`.
+    fn with_run_field(doc: Value, name: &str, arch: &str, key: &str, value: u64) -> Value {
+        edited(doc, name, |p| {
+            set(field(field(p, "archs"), arch), key, value);
+        })
     }
 
     #[test]
     fn accepts_a_complete_document() {
-        assert_eq!(check(&doc(10)), Ok(22));
+        assert_eq!(checked(&doc(10)), Ok(22));
+    }
+
+    #[test]
+    fn accepts_the_committed_document_and_rejects_it_truncated() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_figures.json");
+        let text = std::fs::read_to_string(path).expect("committed BENCH_figures.json");
+        assert!(check(&text).is_ok(), "{:?}", check(&text));
+        // The committed file without its closing `]` and `}` lines.
+        let lines: Vec<&str> = text.lines().collect();
+        let cut = lines[..lines.len() - 2].join("\n");
+        let err = check(&cut).unwrap_err();
+        assert!(err.contains("not a JSON document"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_figures_document_without_a_schema() {
+        let mut doc = doc(10);
+        remove(&mut doc, "schema");
+        let err = checked(&doc).unwrap_err();
+        assert!(err.contains("no `schema`"), "{err}");
+    }
+
+    #[test]
+    fn rejects_an_unknown_figures_schema() {
+        for schema in [Value::from(2u64), Value::from("1"), Value::Float(1.0)] {
+            let mut doc = doc(10);
+            set(&mut doc, "schema", schema);
+            let err = checked(&doc).unwrap_err();
+            assert!(err.contains("unknown figures schema"), "{err}");
+        }
     }
 
     #[test]
     fn rejects_a_point_without_host_wall_clock() {
-        // serve_skip's host_ms is uniquely valued in the fixture.
-        let text = doc(10).replace(", \"host_ms\": 4.750", "");
-        let err = check(&text).unwrap_err();
+        let text = edited(doc(10), "serve_skip", |p| remove(p, "host_ms"));
+        let err = checked(&text).unwrap_err();
         assert!(
             err.contains("serve_skip") && err.contains("host_ms"),
             "{err}"
@@ -914,30 +936,26 @@ mod tests {
     fn rejects_a_missing_host_par_row() {
         // Renamed to a serve_-prefixed point so only the host_par
         // presence check can fire.
-        let text = doc(10).replace("\"name\": \"host_par\"", "\"name\": \"serve_extra\"");
-        assert!(check(&text).unwrap_err().contains("host_par missing"));
+        let text = renamed_point(doc(10), "host_par", "serve_extra");
+        assert!(checked(&text).unwrap_err().contains("host_par missing"));
     }
 
     #[test]
     fn rejects_parallel_results_diverging_from_serial() {
-        let text = doc(10).replace("\"digest_parallel\": 42", "\"digest_parallel\": 43");
-        let err = check(&text).unwrap_err();
+        let text = edited(doc(10), "host_par", |p| set(p, "digest_parallel", 43u64));
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("diverged from serial"), "{err}");
     }
 
     #[test]
     fn rejects_a_parallel_sweep_slower_than_serial() {
-        let text = doc(10).replace(
-            "\"sweep_parallel_ms\": 30.125",
-            "\"sweep_parallel_ms\": 101.125",
-        );
-        let err = check(&text).unwrap_err();
+        let text = edited(doc(10), "host_par", |p| {
+            set(p, "sweep_parallel_ms", 101.125)
+        });
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("sweep slower on 4 workers"), "{err}");
-        let text = doc(10).replace(
-            "\"scatter_parallel_ms\": 25.400",
-            "\"scatter_parallel_ms\": 81.400",
-        );
-        let err = check(&text).unwrap_err();
+        let text = edited(doc(10), "host_par", |p| set(p, "scatter_parallel_ms", 81.4));
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("scatter slower on 4 workers"), "{err}");
     }
 
@@ -945,32 +963,30 @@ mod tests {
     fn accepts_a_slow_parallel_leg_on_a_single_core_host() {
         // One recording CPU: the wall-clock requirement is waived
         // (the digests still must match).
-        let text = doc(10)
-            .replace("\"host_cpus\": 8", "\"host_cpus\": 1")
-            .replace(
-                "\"sweep_parallel_ms\": 30.125",
-                "\"sweep_parallel_ms\": 101.125",
-            );
-        assert_eq!(check(&text), Ok(22));
+        let text = edited(doc(10), "host_par", |p| {
+            set(p, "host_cpus", 1u64);
+            set(p, "sweep_parallel_ms", 101.125);
+        });
+        assert_eq!(checked(&text), Ok(22));
     }
 
     #[test]
     fn rejects_a_missing_perf_rate_row() {
-        let text = doc(10).replace("perf_generate", "perf_generate_v2");
-        let err = check(&text).unwrap_err();
+        let text = renamed_point(doc(10), "perf_generate", "perf_generate_v2");
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("perf_generate missing"), "{err}");
     }
 
     #[test]
     fn rejects_a_zero_perf_rate() {
-        let text = doc(10).replace("\"rate_per_s\": 20000000", "\"rate_per_s\": 0");
-        let err = check(&text).unwrap_err();
+        let text = edited(doc(10), "perf_engine", |p| set(p, "rate_per_s", 0u64));
+        let err = checked(&text).unwrap_err();
         assert!(
             err.contains("perf_engine") && err.contains("zero data-plane rate"),
             "{err}"
         );
-        let text = doc(10).replace("\"work\": 32768", "\"work\": 0");
-        let err = check(&text).unwrap_err();
+        let text = edited(doc(10), "perf_generate", |p| set(p, "work", 0u64));
+        let err = checked(&text).unwrap_err();
         assert!(
             err.contains("perf_generate") && err.contains("zero work"),
             "{err}"
@@ -979,49 +995,48 @@ mod tests {
 
     #[test]
     fn rejects_a_host_par_row_without_host_cpus() {
-        let text = doc(10).replace("\"host_cpus\": 8, ", "");
-        let err = check(&text).unwrap_err();
+        let text = edited(doc(10), "host_par", |p| remove(p, "host_cpus"));
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("host_cpus"), "{err}");
     }
 
     #[test]
     fn rejects_a_serial_host_par_leg() {
-        let text = doc(10).replace(
-            "\"name\": \"host_par\", \"workers\": 4",
-            "\"name\": \"host_par\", \"workers\": 1",
-        );
-        let err = check(&text).unwrap_err();
+        let text = edited(doc(10), "host_par", |p| set(p, "workers", 1u64));
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("1 worker"), "{err}");
     }
 
     #[test]
     fn rejects_missing_aggregate_points() {
-        let text = doc(10).replace("agg_10%", "agg_renamed");
-        assert!(check(&text).unwrap_err().contains("agg_10%"));
+        let text = renamed_point(doc(10), "agg_10%", "agg_renamed");
+        assert!(checked(&text).unwrap_err().contains("agg_10%"));
     }
 
     #[test]
     fn rejects_empty_aggregate_phase() {
-        assert!(check(&doc(0)).unwrap_err().contains("zero-cycle"));
+        assert!(checked(&doc(0)).unwrap_err().contains("zero-cycle"));
     }
 
     #[test]
     fn rejects_missing_arch() {
-        let text = doc(10).replace("\"HIVE\": {\"cycles\": 100", "\"hive\": {\"cycles\": 100");
-        assert!(check(&text).unwrap_err().contains("HIVE"));
+        let text = edited(doc(10), "sel_2%", |p| {
+            rename(field(p, "archs"), "HIVE", "hive");
+        });
+        assert!(checked(&text).unwrap_err().contains("HIVE"));
     }
 
     #[test]
     fn rejects_missing_partition_points() {
-        let text = doc(10).replace("par_4", "par_5");
-        assert!(check(&text).unwrap_err().contains("par_4"));
+        let text = renamed_point(doc(10), "par_4", "par_5");
+        assert!(checked(&text).unwrap_err().contains("par_4"));
     }
 
     #[test]
     fn rejects_more_engines_getting_slower() {
         // par_4 slower than par_2: the partition win regressed.
         let text = doc_with(10, [800, 400, 500, 100]);
-        let err = check(&text).unwrap_err();
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("par_4") && err.contains("slower"), "{err}");
     }
 
@@ -1029,19 +1044,19 @@ mod tests {
     fn accepts_flat_partition_scaling() {
         // Non-increasing, not strictly decreasing, is acceptable (the
         // knee flattens once dispatch bandwidth saturates).
-        assert!(check(&doc_with(10, [800, 400, 400, 400])).is_ok());
+        assert!(checked(&doc_with(10, [800, 400, 400, 400])).is_ok());
     }
 
     #[test]
     fn rejects_missing_serve_points() {
-        let text = doc(10).replace("serve_2", "serve_3");
-        assert!(check(&text).unwrap_err().contains("serve_2"));
+        let text = renamed_point(doc(10), "serve_2", "serve_3");
+        assert!(checked(&text).unwrap_err().contains("serve_2"));
     }
 
     #[test]
     fn rejects_throughput_falling_with_more_shards() {
         let text = doc_full(10, [800, 400, 200, 100], [100, 90, 300, 600]);
-        let err = check(&text).unwrap_err();
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("serve_2") && err.contains("fell"), "{err}");
     }
 
@@ -1050,20 +1065,17 @@ mod tests {
         // Non-decreasing, not strictly increasing, is acceptable for
         // the *shard* points (a tiny table can saturate the front end
         // before the shards); the replication point still owes 1.7x.
-        assert!(check(&doc_full(10, [800, 400, 200, 100], [100, 100, 100, 170])).is_ok());
+        assert!(checked(&doc_full(10, [800, 400, 200, 100], [100, 100, 100, 170])).is_ok());
     }
 
     #[test]
     fn rejects_zero_or_disordered_service_rows() {
         let text = doc_full(10, [800, 400, 200, 100], [0, 100, 200, 400]);
-        assert!(check(&text)
+        assert!(checked(&text)
             .unwrap_err()
             .contains("zero service throughput"));
-        let text = doc(10).replace(
-            "\"p95_cycles\": 200, \"p99_cycles\": 300",
-            "\"p95_cycles\": 400, \"p99_cycles\": 300",
-        );
-        assert!(check(&text).unwrap_err().contains("disordered"));
+        let text = edited(doc(10), "serve_1", |p| set(p, "p95_cycles", 400u64));
+        assert!(checked(&text).unwrap_err().contains("disordered"));
     }
 
     #[test]
@@ -1071,71 +1083,66 @@ mod tests {
         // 300 -> 400 q/Gcyc is monotone but short of the 1.7x the
         // second replica owes.
         let text = doc_full(10, [800, 400, 200, 100], [100, 180, 300, 400]);
-        let err = check(&text).unwrap_err();
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("below 1.7x"), "{err}");
     }
 
     #[test]
     fn rejects_a_replication_point_without_two_replicas() {
-        let text = doc(10).replace(
-            "\"name\": \"serve_4x2\", \"shards\": 1, \"replicas\": 2",
-            "\"name\": \"serve_4x2\", \"shards\": 1, \"replicas\": 1",
-        );
-        let err = check(&text).unwrap_err();
+        let text = edited(doc(10), "serve_4x2", |p| set(p, "replicas", 1u64));
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("does not report 2 replicas"), "{err}");
     }
 
     #[test]
     fn rejects_a_failover_run_whose_fault_never_fired() {
-        // "failovers": 1 appears only in the serve_fail point.
-        let text = doc(10).replace("\"failovers\": 1", "\"failovers\": 0");
-        let err = check(&text).unwrap_err();
+        let text = edited(doc(10), "serve_fail", |p| set(p, "failovers", 0u64));
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("no failover fired"), "{err}");
     }
 
     #[test]
     fn rejects_query_loss_under_failover() {
-        let text = doc(10).replace(
-            "\"queries\": 96, \"makespan_cycles\": 1000, \"queries_per_gigacycle\": 700",
-            "\"queries\": 95, \"makespan_cycles\": 1000, \"queries_per_gigacycle\": 700",
-        );
-        let err = check(&text).unwrap_err();
+        let text = edited(doc(10), "serve_fail", |p| set(p, "queries", 95u64));
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("lost queries"), "{err}");
     }
 
     #[test]
     fn rejects_an_answer_digest_changed_by_failover() {
-        assert!(check(&doc(10)).is_ok());
-        let err = check(
-            &doc_full(10, [800, 400, 200, 100], [100, 180, 300, 600])
-                .replace("\"digest_HIPE_fault\": 11", "\"digest_HIPE_fault\": 12"),
-        )
-        .unwrap_err();
+        assert!(checked(&doc(10)).is_ok());
+        let text = edited(doc(10), "serve_fail", |p| {
+            set(p, "digest_HIPE_fault", 12u64)
+        });
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("HIPE answer digest changed"), "{err}");
         // A missing digest pair is as fatal as a mismatched one.
-        let err = check(&doc(10).replace("digest_x86_clean", "digest_x86_gone")).unwrap_err();
+        let text = edited(doc(10), "serve_fail", |p| {
+            rename(p, "digest_x86_clean", "digest_x86_gone");
+        });
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("digest_x86_clean"), "{err}");
     }
 
     #[test]
     fn rejects_missing_skip_points() {
-        let text = doc(10).replace("skip_3%", "skip_33%");
-        assert!(check(&text).unwrap_err().contains("skip_3%"));
+        let text = renamed_point(doc(10), "skip_3%", "skip_33%");
+        assert!(checked(&text).unwrap_err().contains("skip_3%"));
     }
 
     #[test]
     fn rejects_pruning_costing_cycles() {
-        // skip_10% carries base 100; dropping the baseline below the
-        // pruned run's 60 cycles means pruning made the machine slower.
-        let text = doc(10).replace("\"base_cycles\": 100", "\"base_cycles\": 40");
-        let err = check(&text).unwrap_err();
+        // skip_10% prunes to 60 cycles; a baseline of 40 means pruning
+        // made the machine slower.
+        let text = with_run_field(doc(10), "skip_10%", "HIVE", "base_cycles", 40);
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("skip_10%") && err.contains("slower"), "{err}");
     }
 
     #[test]
     fn rejects_a_skip_row_that_pruned_nothing() {
-        let text = doc(10).replace("\"regions_pruned\": 62", "\"regions_pruned\": 0");
-        let err = check(&text).unwrap_err();
+        let text = with_run_field(doc(10), "skip_1%", "x86", "regions_pruned", 0);
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("pruned no regions"), "{err}");
     }
 
@@ -1144,44 +1151,61 @@ mod tests {
         // skip_3% prunes to 20 cycles against base 200; a baseline of
         // 25 leaves only a 1.25x scan win — short of the 1.5x owed at
         // <= 3 % selectivity. skip_10% owes no such margin.
-        let text = doc(10).replace("\"base_scan_end\": 200", "\"base_scan_end\": 25");
-        let err = check(&text).unwrap_err();
+        let text = with_run_field(doc(10), "skip_3%", "HIPE", "base_scan_end", 25);
+        let err = checked(&text).unwrap_err();
         assert!(
             err.contains("skip_3%") && err.contains("below 1.5x"),
             "{err}"
         );
-        assert!(check(&doc(10).replace("\"base_scan_end\": 100", "\"base_scan_end\": 70")).is_ok());
+        let text = with_run_field(doc(10), "skip_10%", "HIPE", "base_scan_end", 70);
+        assert!(checked(&text).is_ok());
     }
 
     #[test]
     fn rejects_a_scatter_path_that_never_skipped() {
-        let text = doc(10).replace("\"shards_skipped\": 3", "\"shards_skipped\": 0");
-        let err = check(&text).unwrap_err();
+        let text = edited(doc(10), "serve_skip", |p| set(p, "shards_skipped", 0u64));
+        let err = checked(&text).unwrap_err();
         assert!(err.contains("skipped no shards"), "{err}");
-        let text = doc(10).replace("serve_skip", "serve_skap");
-        assert!(check(&text).unwrap_err().contains("serve_skip"));
+        let text = renamed_point(doc(10), "serve_skip", "serve_skap");
+        assert!(checked(&text).unwrap_err().contains("serve_skip"));
     }
 
     #[test]
     fn point_field_requires_a_delimited_top_level_key() {
-        // The key's text inside a string value (escaped quotes) or as
-        // the tail of a longer field name is not the field.
-        let decoy = "{\"name\": \"serve_x\", \
-                     \"note\": \"was \\\"queries_per_gigacycle\\\": 9\", \
-                     \"old_queries_per_gigacycle\": 7}";
-        assert_eq!(point_field(decoy, "queries_per_gigacycle"), None);
-        // A real field parses whether preceded by `{`, `,` or a line
-        // start, and an arch object's fields are out of scope.
-        let real = "{\"p50_cycles\": 3,\n  \"p95_cycles\": 4, \"archs\": {\
-                    \"HIPE\": {\"p99_cycles\": 9}}}";
-        assert_eq!(point_field(real, "p50_cycles"), Some(3));
-        assert_eq!(point_field(real, "p95_cycles"), Some(4));
-        assert_eq!(point_field(real, "p99_cycles"), None);
+        // The key's text inside a string value or as the tail of a
+        // longer field name is not the field.
+        let decoy = json::parse(
+            "{\"name\": \"serve_x\", \
+             \"note\": \"was \\\"queries_per_gigacycle\\\": 9\", \
+             \"old_queries_per_gigacycle\": 7}",
+        )
+        .expect("valid JSON");
+        let row = |value| Row {
+            name: "serve_x",
+            arch: None,
+            value,
+        };
+        assert!(row(&decoy).num("queries_per_gigacycle").is_err());
+        // A real field is found, and an arch object's fields are not
+        // the point's.
+        let real = json::parse(
+            "{\"p50_cycles\": 3, \"p95_cycles\": 4, \"archs\": {\"HIPE\": {\"p99_cycles\": 9}}}",
+        )
+        .expect("valid JSON");
+        assert_eq!(row(&real).num("p50_cycles"), Ok(3));
+        assert_eq!(row(&real).num("p95_cycles"), Ok(4));
+        assert!(row(&real).num("p99_cycles").is_err());
+        assert_eq!(
+            row(&real).arch("HIPE").and_then(|r| r.num("p99_cycles")),
+            Ok(9)
+        );
     }
 
     #[test]
     fn rejects_foreign_documents() {
         assert!(check("{}").is_err());
+        let err = check("\"bench\": \"figures\"").unwrap_err();
+        assert!(err.contains("not a JSON document"), "{err}");
     }
 
     /// Renders a miniature service trace through the real writer: one
@@ -1211,9 +1235,46 @@ mod tests {
         t.to_chrome_json(&other)
     }
 
+    /// `trace` with `edit` applied to its parsed document.
+    fn edit_trace(trace: &str, edit: impl FnOnce(&mut Value)) -> String {
+        let mut doc = json::parse(trace).expect("the writer emits valid JSON");
+        edit(&mut doc);
+        doc.to_json()
+    }
+
+    /// The trace event with phase `ph` at time `ts`.
+    fn trace_event<'a>(doc: &'a mut Value, ph: &str, ts: u64) -> &'a mut Value {
+        match field(doc, "traceEvents") {
+            Value::Array(events) => events
+                .iter_mut()
+                .find(|e| {
+                    e.get("ph").and_then(Value::as_str) == Some(ph)
+                        && e.get("ts").and_then(Value::as_u64) == Some(ts)
+                })
+                .expect("sample event"),
+            _ => panic!("trace without events"),
+        }
+    }
+
+    fn set_other(doc: &mut Value, key: &str, value: u64) {
+        set(field(doc, "otherData"), key, value);
+    }
+
     #[test]
     fn trace_roundtrip_validates() {
         assert_eq!(check_trace(&sample_trace(1, 1, 1)), Ok((8, 1)));
+    }
+
+    #[test]
+    fn trace_rejects_the_committed_trace_truncated() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
+        let text = std::fs::read_to_string(path).expect("committed BENCH_trace.json");
+        assert!(check_trace(&text).is_ok(), "{:?}", check_trace(&text));
+        // The committed file without its last two lines.
+        let lines: Vec<&str> = text.lines().collect();
+        let cut = lines[..lines.len() - 2].join("\n");
+        let err = check_trace(&cut).unwrap_err();
+        assert!(err.contains("not a JSON document"), "{err}");
     }
 
     #[test]
@@ -1224,7 +1285,7 @@ mod tests {
         assert!(err.contains("fault.kill"), "{err}");
         let err = check_trace(&sample_trace(1, 1, 2)).unwrap_err();
         assert!(err.contains("redispatch instants"), "{err}");
-        let text = sample_trace(1, 1, 1).replace("\"events\": 8", "\"events\": 9");
+        let text = edit_trace(&sample_trace(1, 1, 1), |d| set_other(d, "events", 9));
         let err = check_trace(&text).unwrap_err();
         assert!(err.contains("recorder wrote 9"), "{err}");
     }
@@ -1234,13 +1295,14 @@ mod tests {
         // The scan child [12, 30] stretched to end at 45 straddles its
         // parent engine span's end at 40 (makespan raised out of the
         // way so only the nesting check can fire).
-        let text = sample_trace(1, 1, 1)
-            .replace("\"makespan_cyc\": 40", "\"makespan_cyc\": 60")
-            .replace("\"ts\":12,\"dur\":18", "\"ts\":12,\"dur\":33");
+        let text = edit_trace(&sample_trace(1, 1, 1), |d| {
+            set_other(d, "makespan_cyc", 60);
+            set(trace_event(d, "X", 12), "dur", 33u64);
+        });
         let err = check_trace(&text).unwrap_err();
         assert!(err.contains("straddles"), "{err}");
         // A span past the recorded makespan is rejected outright.
-        let text = sample_trace(1, 1, 1).replace("\"makespan_cyc\": 40", "\"makespan_cyc\": 39");
+        let text = edit_trace(&sample_trace(1, 1, 1), |d| set_other(d, "makespan_cyc", 39));
         let err = check_trace(&text).unwrap_err();
         assert!(err.contains("past the 39 cyc makespan"), "{err}");
     }
@@ -1249,10 +1311,11 @@ mod tests {
     fn trace_catches_unbalanced_async_pairs() {
         // Retag the async end as a second begin with a fresh id: the
         // original id never ends.
-        let text = sample_trace(1, 1, 1).replace(
-            "{\"ph\":\"e\",\"pid\":0,\"tid\":2,\"ts\":40,\"id\":0",
-            "{\"ph\":\"b\",\"pid\":0,\"tid\":2,\"ts\":40,\"id\":7",
-        );
+        let text = edit_trace(&sample_trace(1, 1, 1), |d| {
+            let end = trace_event(d, "e", 40);
+            set(end, "ph", "b");
+            set(end, "id", 7u64);
+        });
         let err = check_trace(&text).unwrap_err();
         assert!(err.contains("async"), "{err}");
     }

@@ -22,6 +22,7 @@
 use hipe::Arch;
 use hipe_db::Query;
 use hipe_serve::{run_service, run_service_traced, Cluster, FaultPlan, ServiceConfig};
+use hipe_trace::json::Value;
 use hipe_trace::{Metrics, TraceEvent, Tracer};
 
 const SEED: u64 = 2018;
@@ -170,23 +171,19 @@ fn main() {
         shard_report.export_metrics(&format!("shard{s}."), &mut metrics);
     }
 
-    let other_data = [
-        ("arch", format!("\"{}\"", report.arch)),
-        (
-            "time_unit",
-            "\"simulated cycles (1 cyc = 1 viewer µs)\"".to_string(),
-        ),
-        ("shards", report.shards.to_string()),
-        ("replicas", report.replicas.to_string()),
-        ("queries", report.queries.to_string()),
-        ("makespan_cyc", report.makespan.to_string()),
-        ("failovers", report.failovers.to_string()),
-        ("redispatched", report.redispatched.to_string()),
-        ("answers_digest", report.answers_digest().to_string()),
-        ("events", tracer.len().to_string()),
-        ("metrics", metrics.to_json()),
-    ];
-    let json = tracer.to_chrome_json(&other_data);
+    let other_data = Value::object()
+        .with("arch", report.arch.to_string())
+        .with("time_unit", "simulated cycles (1 cyc = 1 viewer µs)")
+        .with("shards", report.shards)
+        .with("replicas", report.replicas)
+        .with("queries", report.queries)
+        .with("makespan_cyc", report.makespan)
+        .with("failovers", report.failovers)
+        .with("redispatched", report.redispatched)
+        .with("answers_digest", report.answers_digest())
+        .with("events", tracer.len())
+        .with("metrics", metrics.to_value());
+    let json = tracer.chrome_trace(other_data).to_json() + "\n";
     std::fs::write(&opts.out, &json).expect("write trace file");
 
     println!("{report}");

@@ -96,6 +96,10 @@ pub fn rows_at_sf(sf: f64) -> usize {
     ((SF1_ROWS as f64 * sf).round() as usize).max(1)
 }
 
+/// Version of the `BENCH_figures.json` layout the `figures` bench
+/// writes; `check_figures` rejects a document of any other version.
+pub const FIGURES_SCHEMA: u64 = 1;
+
 /// Host worker threads for the parallel sweeps (`HIPE_WORKERS`,
 /// default 1 — fully serial, the byte-identical historical path).
 pub fn bench_workers() -> usize {

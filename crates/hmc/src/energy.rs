@@ -130,11 +130,6 @@ impl EnergyBreakdown {
         self.logic
     }
 
-    /// Processor-side cache energy, pJ.
-    pub fn cache_pj(&self) -> f64 {
-        self.cache
-    }
-
     /// Total energy across all components, pJ.
     pub fn total_pj(&self) -> f64 {
         self.dram_pj() + self.link + self.logic + self.cache

@@ -409,31 +409,6 @@ impl<'a> ClusterSession<'a> {
         self.cluster
     }
 
-    /// Mutable access to shard `s`'s primary warm [`Session`]
-    /// (replica 0).
-    pub fn shard_session(&mut self, s: usize) -> &mut Session<'a> {
-        &mut self.sessions[s][0]
-    }
-
-    /// Mutable access to replica `r` of shard `s`'s warm [`Session`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn replica_session(&mut self, s: usize, r: usize) -> &mut Session<'a> {
-        assert!(
-            s < self.sessions.len(),
-            "shard {s} out of range ({} shards)",
-            self.sessions.len()
-        );
-        assert!(
-            r < self.sessions[s].len(),
-            "replica {r} out of range (shard {s} has {} replicas)",
-            self.sessions[s].len()
-        );
-        &mut self.sessions[s][r]
-    }
-
     /// Scatters `query` to every shard's primary replica and gathers
     /// the combined [`ClusterReport`] — the unrouted scatter-gather
     /// path, unchanged by replication.

@@ -54,6 +54,6 @@ pub use fifo_window::FifoWindow;
 pub use host::{env_workers, WorkerPool};
 pub use pipe::ThroughputPipe;
 pub use server::{MultiServer, ServeOutcome, Server};
-pub use stats::{Counter, Histogram, RunningStats, Samples};
+pub use stats::Samples;
 pub use time::{time_ns, ClockDomain, Cycle, Freq};
 pub use window::Window;

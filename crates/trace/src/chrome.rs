@@ -1,144 +1,102 @@
 //! Chrome Trace Event Format rendering.
 //!
-//! The exported JSON uses the object form (`{"traceEvents": [...]}`),
-//! one event per line, with one *simulated cycle* mapped to one viewer
-//! microsecond — cycle 12_345 shows as 12.345 ms on the Perfetto
-//! timeline. All events share `pid` 0; each [`Track`](crate::Track)
-//! becomes one `tid` with a `thread_name` metadata record, so the
-//! viewer shows one named row per track in registration order.
+//! The exported document uses the object form (`{"traceEvents": [...]}`)
+//! with one *simulated cycle* mapped to one viewer microsecond — cycle
+//! 12_345 shows as 12.345 ms on the Perfetto timeline. All events share
+//! `pid` 0; each [`Track`](crate::Track) becomes one `tid` with a
+//! `thread_name` metadata record, so the viewer shows one named row per
+//! track in registration order.
 //!
 //! Sync-track spans render as complete (`"X"`) events with
 //! a non-negative `dur`; async-track spans render as `"b"`/`"e"`
 //! pairs keyed by the recorder-assigned id, so overlapping in-flight
 //! lifetimes display stacked instead of corrupting a thread row.
-//! The line-oriented layout is load-bearing: `check_figures --trace`
-//! validates traces with the same line scanner the figure checks use.
+//! The document is a [`json::Value`]; `check_figures --trace` parses
+//! it back with [`json::parse`] and validates the events as values.
 
-use crate::{ArgValue, Args, TraceEvent, Tracer, TrackKind};
-use std::fmt::Write as _;
+use crate::json::{self, Value};
+use crate::{Args, TraceEvent, Tracer, TrackKind};
 
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+fn args(args: &Args) -> Value {
+    Value::Object(
+        args.iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect(),
+    )
 }
 
-fn push_args(args: &Args, out: &mut String) {
-    out.push_str(",\"args\":{");
-    for (i, (key, value)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{key}\":");
-        match value {
-            ArgValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            ArgValue::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            ArgValue::Str(v) => {
-                out.push('"');
-                escape(v, out);
-                out.push('"');
-            }
-        }
-    }
-    out.push('}');
+/// The fields every timed event starts with.
+fn event(ph: &str, tid: usize, ts: u64) -> Value {
+    Value::object()
+        .with("ph", ph)
+        .with("pid", 0u64)
+        .with("tid", tid)
+        .with("ts", ts)
 }
 
-fn push_name(name: &str, out: &mut String) {
-    out.push_str(",\"name\":\"");
-    escape(name, out);
-    out.push('"');
+fn metadata(tid: usize, name: &str, args: Value) -> Value {
+    Value::object()
+        .with("ph", "M")
+        .with("pid", 0u64)
+        .with("tid", tid)
+        .with("name", name)
+        .with("args", args)
 }
 
 impl Tracer {
-    /// Renders the recording as Chrome Trace Event Format JSON.
-    ///
-    /// `other_data` lands verbatim in the file's `otherData` object:
-    /// each `(key, value)` pair is emitted as `"key": value` with the
-    /// value string inserted as-is, so callers pass pre-rendered JSON
-    /// values (`"12"`, `"\"HIPE\""`). The serve layer uses this to
+    /// The recording as a Chrome Trace Event Format document whose
+    /// `otherData` object is `other_data`. `trace_dump` uses it to
     /// embed the `ServiceReport` counters the trace must reconcile
     /// with.
-    pub fn to_chrome_json(&self, other_data: &[(&str, String)]) -> String {
-        let mut out = String::with_capacity(256 + self.events().len() * 96);
-        out.push_str("{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {");
-        for (i, (key, value)) in other_data.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n  \"{key}\": {value}");
-        }
-        out.push_str("\n},\n\"traceEvents\": [\n");
-        out.push_str(
-            "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"hipe (simulated cycles)\"}}",
+    pub fn chrome_trace(&self, other_data: Value) -> Value {
+        let mut events = Vec::with_capacity(1 + 2 * self.tracks().len() + self.events().len());
+        events.push(
+            Value::object()
+                .with("ph", "M")
+                .with("pid", 0u64)
+                .with("name", "process_name")
+                .with(
+                    "args",
+                    Value::object().with("name", "hipe (simulated cycles)"),
+                ),
         );
         for (tid, track) in self.tracks().iter().enumerate() {
-            out.push_str(",\n");
-            let _ = write!(out, "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},");
-            out.push_str("\"name\":\"thread_name\",\"args\":{\"name\":\"");
-            escape(&track.name, &mut out);
-            out.push_str("\"}}");
-            out.push_str(",\n");
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_sort_index\",\
-                 \"args\":{{\"sort_index\":{tid}}}}}"
-            );
+            let name = Value::object().with("name", track.name.as_str());
+            events.push(metadata(tid, "thread_name", name));
+            let index = Value::object().with("sort_index", tid);
+            events.push(metadata(tid, "thread_sort_index", index));
         }
-        for event in self.events() {
-            out.push_str(",\n");
-            match event {
+        for e in self.events() {
+            match e {
                 TraceEvent::Span { span, async_id } => {
                     let tid = span.track.index();
+                    let name = span.name.as_str();
                     match self.tracks()[tid].kind {
                         TrackKind::Sync => {
                             debug_assert!(async_id.is_none());
-                            let _ = write!(
-                                out,
-                                "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                                 \"cat\":\"hipe\"",
-                                span.begin_cycle,
-                                span.end_cycle - span.begin_cycle
+                            events.push(
+                                event("X", tid, span.begin_cycle)
+                                    .with("dur", span.end_cycle - span.begin_cycle)
+                                    .with("cat", "hipe")
+                                    .with("name", name)
+                                    .with("args", args(&span.args)),
                             );
-                            push_name(&span.name, &mut out);
-                            push_args(&span.args, &mut out);
-                            out.push('}');
                         }
                         TrackKind::Async => {
                             let id = async_id.expect("async spans carry an id");
-                            let _ = write!(
-                                out,
-                                "{{\"ph\":\"b\",\"pid\":0,\"tid\":{tid},\"ts\":{},\
-                                 \"id\":{id},\"cat\":\"hipe\"",
-                                span.begin_cycle
+                            events.push(
+                                event("b", tid, span.begin_cycle)
+                                    .with("id", id)
+                                    .with("cat", "hipe")
+                                    .with("name", name)
+                                    .with("args", args(&span.args)),
                             );
-                            push_name(&span.name, &mut out);
-                            push_args(&span.args, &mut out);
-                            out.push('}');
-                            out.push_str(",\n");
-                            let _ = write!(
-                                out,
-                                "{{\"ph\":\"e\",\"pid\":0,\"tid\":{tid},\"ts\":{},\
-                                 \"id\":{id},\"cat\":\"hipe\"",
-                                span.end_cycle
+                            events.push(
+                                event("e", tid, span.end_cycle)
+                                    .with("id", id)
+                                    .with("cat", "hipe")
+                                    .with("name", name),
                             );
-                            push_name(&span.name, &mut out);
-                            out.push('}');
                         }
                     }
                 }
@@ -146,42 +104,55 @@ impl Tracer {
                     track,
                     name,
                     at_cycle,
-                    args,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"i\",\"pid\":0,\"tid\":{},\"ts\":{at_cycle},\
-                         \"s\":\"t\",\"cat\":\"hipe\"",
-                        track.index()
-                    );
-                    push_name(name, &mut out);
-                    push_args(args, &mut out);
-                    out.push('}');
-                }
+                    args: a,
+                } => events.push(
+                    event("i", track.index(), *at_cycle)
+                        .with("s", "t")
+                        .with("cat", "hipe")
+                        .with("name", name.as_str())
+                        .with("args", args(a)),
+                ),
                 TraceEvent::Counter {
                     track,
                     name,
                     at_cycle,
                     value,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"C\",\"pid\":0,\"tid\":{},\"ts\":{at_cycle},\"cat\":\"hipe\"",
-                        track.index()
-                    );
-                    push_name(name, &mut out);
-                    let _ = write!(out, ",\"args\":{{\"value\":{value}}}");
-                    out.push('}');
-                }
+                } => events.push(
+                    event("C", track.index(), *at_cycle)
+                        .with("cat", "hipe")
+                        .with("name", name.as_str())
+                        .with("args", Value::object().with("value", *value)),
+                ),
             }
         }
-        out.push_str("\n]\n}\n");
-        out
+        Value::object()
+            .with("displayTimeUnit", "ms")
+            .with("otherData", other_data)
+            .with("traceEvents", events)
+    }
+
+    /// Renders the recording as Chrome Trace Event Format JSON.
+    ///
+    /// Each `(key, value)` pair of `other_data` becomes one member of
+    /// the file's `otherData` object. Values are pre-rendered JSON
+    /// (`"12"`, `"\"HIPE\""`) and are parsed into the document; a
+    /// value that does not parse is stored as a JSON string, so the
+    /// output is always valid JSON.
+    pub fn to_chrome_json(&self, other_data: &[(&str, String)]) -> String {
+        let other = other_data
+            .iter()
+            .map(|(key, value)| {
+                let value = json::parse(value).unwrap_or_else(|_| Value::from(value.as_str()));
+                (key.to_string(), value)
+            })
+            .collect();
+        self.chrome_trace(Value::Object(other)).to_json()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::json::{self, Value};
     use crate::{TraceSink, Tracer, TrackKind};
 
     fn sample() -> Tracer {
@@ -197,28 +168,56 @@ mod tests {
 
     #[test]
     fn renders_object_form_with_metadata_rows() {
-        let json = sample().to_chrome_json(&[("queries", "1".to_string())]);
-        assert!(json.starts_with('{'));
-        assert!(json.trim_end().ends_with('}'));
-        assert!(json.contains("\"traceEvents\": ["));
-        assert!(json.contains("\"otherData\": {"));
-        assert!(json.contains("\"queries\": 1"));
-        assert!(json.contains("\"name\":\"front-end\""));
-        assert!(json.contains("\"name\":\"queries\""));
-        assert!(json.contains("thread_sort_index"));
+        let json = sample().to_chrome_json(&[
+            ("queries", "1".to_string()),
+            ("label", "not json".to_string()),
+        ]);
+        let doc = json::parse(&json).expect("the writer emits valid JSON");
+        let other = doc.get("otherData").expect("otherData object");
+        assert_eq!(other.get("queries"), Some(&Value::Int(1)));
+        // A pre-rendered value that does not parse is kept as a string.
+        assert_eq!(other.get("label").and_then(Value::as_str), Some("not json"));
+        let events = doc
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .expect("events");
+        let meta_names: Vec<&str> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
+            .map(|e| {
+                let name = e.get("name").and_then(Value::as_str);
+                let arg = e
+                    .get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(Value::as_str);
+                arg.or(name).expect("metadata records are named")
+            })
+            .collect();
+        assert!(meta_names.contains(&"front-end"));
+        assert!(meta_names.contains(&"queries"));
+        assert!(meta_names.contains(&"thread_sort_index"));
     }
 
     #[test]
     fn sync_spans_are_complete_events_and_async_spans_are_pairs() {
-        let json = sample().to_chrome_json(&[]);
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"dur\":20"));
-        let begins = json.matches("\"ph\":\"b\"").count();
-        let ends = json.matches("\"ph\":\"e\"").count();
-        assert_eq!(begins, 1);
-        assert_eq!(ends, 1);
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"ph\":\"C\""));
+        let doc = json::parse(&sample().to_chrome_json(&[])).expect("valid JSON");
+        let events = doc
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .expect("events");
+        let phase = |ph: &str| {
+            events
+                .iter()
+                .filter(|e| e.get("ph").and_then(Value::as_str) == Some(ph))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(phase("X").len(), 1);
+        assert_eq!(phase("X")[0].get("dur"), Some(&Value::Int(20)));
+        assert_eq!(phase("b").len(), 1);
+        assert_eq!(phase("e").len(), 1);
+        assert_eq!(phase("b")[0].get("id"), phase("e")[0].get("id"));
+        assert_eq!(phase("i").len(), 1);
+        assert_eq!(phase("C").len(), 1);
     }
 
     #[test]
@@ -242,5 +241,12 @@ mod tests {
         assert!(json.contains("a\\\"b\\\\c\\n"));
         assert!(json.contains("x\\ty"));
         assert!(json.contains("p\\\"q"));
+        let doc = json::parse(&json).expect("valid JSON");
+        let events = doc
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .expect("events");
+        let track = events[1].get("args").and_then(|a| a.get("name"));
+        assert_eq!(track.and_then(Value::as_str), Some("a\"b\\c\n"));
     }
 }

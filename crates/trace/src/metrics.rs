@@ -10,6 +10,7 @@
 //! Names are kept in a `BTreeMap`, so iteration order — and therefore
 //! the JSON export — is deterministic.
 
+use crate::json::Value;
 use std::collections::BTreeMap;
 
 /// A power-of-two histogram of `u64` samples: bucket `i` counts values
@@ -266,38 +267,30 @@ impl Metrics {
         out
     }
 
-    /// Renders the registry as a JSON object, one key per metric in
-    /// name order. Counters and gauges render as bare integers;
-    /// histograms as `{"count":..,"sum":..,"min":..,"max":..}`.
+    /// The registry as a JSON object, one member per metric in name
+    /// order. Counters and gauges are bare integers; histograms are
+    /// `{"count": .., "sum": .., "min": .., "max": ..}` objects.
+    pub fn to_value(&self) -> Value {
+        let member = |metric: &Metric| match metric {
+            Metric::Counter(v) => Value::from(*v),
+            Metric::Gauge(v) => Value::from(*v),
+            Metric::Histogram(h) => Value::object()
+                .with("count", h.count())
+                .with("sum", h.sum())
+                .with("min", h.min())
+                .with("max", h.max()),
+        };
+        Value::Object(
+            self.entries
+                .iter()
+                .map(|(name, metric)| (name.clone(), member(metric)))
+                .collect(),
+        )
+    }
+
+    /// Renders [`to_value`](Self::to_value) as JSON text.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{");
-        for (i, (name, metric)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n  \"{name}\": ");
-            match metric {
-                Metric::Counter(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                Metric::Gauge(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                Metric::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                        h.count(),
-                        h.sum(),
-                        h.min(),
-                        h.max()
-                    );
-                }
-            }
-        }
-        out.push_str("\n}");
-        out
+        self.to_value().to_json()
     }
 }
 
