@@ -10,7 +10,7 @@
 //! front-end and query-lifetime tracks.
 //!
 //! The emitted file embeds the run's `ServiceReport` counters in
-//! `otherData` (plus a per-shard metrics registry export), and
+//! `otherData` (plus each shard's Q6 `RunReport::metrics`), and
 //! `check_figures --trace` re-derives them from the events — query
 //! spans, `fault.kill` instants and `redispatch` instants must
 //! reconcile exactly.
@@ -23,7 +23,7 @@ use hipe::Arch;
 use hipe_db::Query;
 use hipe_serve::{run_service, run_service_traced, Cluster, FaultPlan, ServiceConfig};
 use hipe_trace::json::Value;
-use hipe_trace::{Metrics, TraceEvent, Tracer};
+use hipe_trace::{TraceEvent, Tracer};
 
 const SEED: u64 = 2018;
 
@@ -160,16 +160,24 @@ fn main() {
         "one redispatch instant per lost sub-query"
     );
 
-    // Per-shard component counters, exported through the registry.
-    let mut metrics = Metrics::new();
+    // Per-shard component counters under `shard{s}.`, in name order
+    // across shards too (`shard10.` sorts before `shard2.`).
+    let mut metrics = Vec::new();
     for (s, shard_report) in cluster
         .run(Arch::Hipe, &Query::q6())
         .shard_reports
         .iter()
         .enumerate()
     {
-        shard_report.export_metrics(&format!("shard{s}."), &mut metrics);
+        if let Value::Object(members) = shard_report.metrics() {
+            metrics.extend(
+                members
+                    .into_iter()
+                    .map(|(name, value)| (format!("shard{s}.{name}"), value)),
+            );
+        }
     }
+    metrics.sort_by(|a, b| a.0.cmp(&b.0));
 
     let other_data = Value::object()
         .with("arch", report.arch.to_string())
@@ -182,7 +190,7 @@ fn main() {
         .with("redispatched", report.redispatched)
         .with("answers_digest", report.answers_digest())
         .with("events", tracer.len())
-        .with("metrics", metrics.to_value());
+        .with("metrics", Value::Object(metrics));
     let json = tracer.chrome_trace(other_data).to_json() + "\n";
     std::fs::write(&opts.out, &json).expect("write trace file");
 

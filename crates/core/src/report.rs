@@ -7,7 +7,8 @@ use hipe_db::Bitmask;
 use hipe_hmc::{EnergyBreakdown, HmcStats};
 use hipe_logic::EngineStats;
 use hipe_sim::Cycle;
-use hipe_trace::{Metrics, TraceSink, TrackId};
+use hipe_trace::json::Value;
+use hipe_trace::{TraceSink, TrackId};
 
 /// The simulated architectures.
 ///
@@ -278,34 +279,72 @@ impl RunReport {
         }
     }
 
-    /// Projects every component counter of this run into `metrics`
-    /// under `prefix` (e.g. `"shard0."`): core, cube, cache and
-    /// engine activity, zone-map decisions, and a per-partition
-    /// scan-completion histogram — one uniform namespace instead of
-    /// four ad-hoc stats structs.
-    pub fn export_metrics(&self, prefix: &str, metrics: &mut Metrics) {
-        metrics.gauge_set(&format!("{prefix}cycles"), self.cycles as i64);
-        metrics.gauge_set(&format!("{prefix}matches"), self.result.matches as i64);
-        metrics.counter_add(
-            &format!("{prefix}zonemap.regions_scanned"),
-            self.regions_scanned as u64,
-        );
-        metrics.counter_add(
-            &format!("{prefix}zonemap.regions_pruned"),
-            self.regions_pruned as u64,
-        );
-        self.core.export_metrics(prefix, metrics);
-        self.hmc.export_metrics(prefix, metrics);
-        if let Some(cache) = &self.cache {
-            cache.export_metrics(prefix, metrics);
+    /// Every counter of this run as one JSON object, members in name
+    /// order: `cycles`, `matches`, the zone-map decisions, the core
+    /// and cube counters, the cache counters (host-path machines
+    /// only), the engine counters (HIVE/HIPE only) and, when the run
+    /// has partitions, their summed `dram_bytes` plus a
+    /// `{count, sum, min, max}` summary of their scan-completion
+    /// cycles. This is the one place the counter names are spelled.
+    pub fn metrics(&self) -> Value {
+        let mut members: Vec<(&str, Value)> = vec![
+            ("cycles", self.cycles.into()),
+            ("matches", self.result.matches.into()),
+            ("zonemap.regions_scanned", self.regions_scanned.into()),
+            ("zonemap.regions_pruned", self.regions_pruned.into()),
+            ("core.ops", self.core.ops.into()),
+            ("core.loads", self.core.loads.into()),
+            ("core.stores", self.core.stores.into()),
+            ("core.branches", self.core.branches.into()),
+            ("core.mispredicts", self.core.mispredicts.into()),
+            ("hmc.activations", self.hmc.activations.into()),
+            ("hmc.bytes_read", self.hmc.bytes_read.into()),
+            ("hmc.bytes_written", self.hmc.bytes_written.into()),
+            ("hmc.link_bytes", self.hmc.link_bytes.into()),
+            ("hmc.fu_ops", self.hmc.fu_ops.into()),
+        ];
+        if let Some(c) = &self.cache {
+            members.extend([
+                ("cache.l1_hits", c.l1_hits.into()),
+                ("cache.l1_misses", c.l1_misses.into()),
+                ("cache.l2_hits", c.l2_hits.into()),
+                ("cache.l2_misses", c.l2_misses.into()),
+                ("cache.l3_hits", c.l3_hits.into()),
+                ("cache.l3_misses", c.l3_misses.into()),
+                ("cache.prefetches", c.prefetches.into()),
+                ("cache.prefetch_hits", c.prefetch_hits.into()),
+                ("cache.writebacks", c.writebacks.into()),
+                ("cache.accesses", c.accesses.into()),
+            ]);
         }
-        if let Some(engine) = &self.engine {
-            engine.export_metrics(prefix, metrics);
+        if let Some(e) = &self.engine {
+            members.extend([
+                ("engine.instructions", e.instructions.into()),
+                ("engine.dram_loads", e.dram_loads.into()),
+                ("engine.dram_stores", e.dram_stores.into()),
+                ("engine.alu_ops", e.alu_ops.into()),
+                ("engine.squashed", e.squashed.into()),
+                ("engine.blocks", e.blocks.into()),
+            ]);
         }
-        for part in &self.partitions {
-            metrics.observe(&format!("{prefix}partition.scan_cyc"), part.scan);
-            metrics.counter_add(&format!("{prefix}partition.dram_bytes"), part.dram_bytes);
+        let scans = || self.partitions.iter().map(|p| p.scan);
+        if let (Some(min), Some(max)) = (scans().min(), scans().max()) {
+            let dram_bytes: u64 = self.partitions.iter().map(|p| p.dram_bytes).sum();
+            let scan_cyc = Value::object()
+                .with("count", self.partitions.len())
+                .with("sum", scans().sum::<Cycle>())
+                .with("min", min)
+                .with("max", max);
+            members.push(("partition.dram_bytes", dram_bytes.into()));
+            members.push(("partition.scan_cyc", scan_cyc));
         }
+        members.sort_by_key(|&(name, _)| name);
+        Value::Object(
+            members
+                .into_iter()
+                .map(|(name, value)| (name.to_string(), value))
+                .collect(),
+        )
     }
 }
 
@@ -465,6 +504,164 @@ mod tests {
             .collect();
         let s = r.to_string();
         assert!(s.contains("[4 engines: scan 20/21/22/23]"), "display: {s}");
+    }
+
+    /// The members of [`RunReport::metrics`], checked to be in strict
+    /// name order (so each name appears once).
+    fn metric_members(r: &RunReport) -> Vec<(String, Value)> {
+        let Value::Object(members) = r.metrics() else {
+            panic!("metrics is not an object");
+        };
+        for pair in members.windows(2) {
+            assert!(pair[0].0 < pair[1].0, "{} !< {}", pair[0].0, pair[1].0);
+        }
+        members
+    }
+
+    /// Asserts that `members` holds exactly `expected`, each once.
+    fn assert_counters(members: &[(String, Value)], expected: &[(&str, u64)]) {
+        for &(name, value) in expected {
+            let hits: Vec<&Value> = members
+                .iter()
+                .filter(|(k, _)| k == name)
+                .map(|(_, v)| v)
+                .collect();
+            assert_eq!(hits, [&Value::from(value)], "{name}");
+        }
+    }
+
+    /// Every field of the report's component stats, by metric name.
+    /// The destructuring lists every field, so a new field fails to
+    /// compile here until it is given a metric.
+    fn expected_counters(r: &RunReport) -> Vec<(&'static str, u64)> {
+        let CoreStats {
+            ops,
+            loads,
+            stores,
+            branches,
+            mispredicts,
+        } = r.core;
+        let HmcStats {
+            activations,
+            bytes_read,
+            bytes_written,
+            link_bytes,
+            fu_ops,
+        } = r.hmc;
+        let mut out = vec![
+            ("core.ops", ops),
+            ("core.loads", loads),
+            ("core.stores", stores),
+            ("core.branches", branches),
+            ("core.mispredicts", mispredicts),
+            ("hmc.activations", activations),
+            ("hmc.bytes_read", bytes_read),
+            ("hmc.bytes_written", bytes_written),
+            ("hmc.link_bytes", link_bytes),
+            ("hmc.fu_ops", fu_ops),
+        ];
+        if let Some(CacheStats {
+            l1_hits,
+            l1_misses,
+            l2_hits,
+            l2_misses,
+            l3_hits,
+            l3_misses,
+            prefetches,
+            prefetch_hits,
+            writebacks,
+            accesses,
+        }) = r.cache
+        {
+            out.extend([
+                ("cache.l1_hits", l1_hits),
+                ("cache.l1_misses", l1_misses),
+                ("cache.l2_hits", l2_hits),
+                ("cache.l2_misses", l2_misses),
+                ("cache.l3_hits", l3_hits),
+                ("cache.l3_misses", l3_misses),
+                ("cache.prefetches", prefetches),
+                ("cache.prefetch_hits", prefetch_hits),
+                ("cache.writebacks", writebacks),
+                ("cache.accesses", accesses),
+            ]);
+        }
+        if let Some(EngineStats {
+            instructions,
+            dram_loads,
+            dram_stores,
+            alu_ops,
+            squashed,
+            blocks,
+        }) = r.engine
+        {
+            out.extend([
+                ("engine.instructions", instructions),
+                ("engine.dram_loads", dram_loads),
+                ("engine.dram_stores", dram_stores),
+                ("engine.alu_ops", alu_ops),
+                ("engine.squashed", squashed),
+                ("engine.blocks", blocks),
+            ]);
+        }
+        out
+    }
+
+    #[test]
+    fn metrics_spell_every_stats_field_once_with_its_value() {
+        let sys = crate::System::new(1024, 7);
+        let q6 = hipe_db::Query::q6();
+        let x86 = sys.run(Arch::HostX86, &q6);
+        let hipe = sys.run(Arch::Hipe, &q6);
+        assert!(x86.cache.is_some() && x86.engine.is_none());
+        assert!(hipe.cache.is_none() && hipe.engine.is_some());
+        for r in [&x86, &hipe] {
+            let members = metric_members(r);
+            let mut expected = expected_counters(r);
+            let scans = r.partitions.iter().map(|p| p.scan);
+            expected.extend([
+                ("cycles", r.cycles),
+                ("matches", r.result.matches as u64),
+                ("zonemap.regions_scanned", r.regions_scanned as u64),
+                ("zonemap.regions_pruned", r.regions_pruned as u64),
+                (
+                    "partition.dram_bytes",
+                    r.partitions.iter().map(|p| p.dram_bytes).sum(),
+                ),
+            ]);
+            assert_counters(&members, &expected);
+            let scan_cyc = Value::object()
+                .with("count", r.partitions.len())
+                .with("sum", scans.clone().sum::<Cycle>())
+                .with("min", scans.clone().min().unwrap())
+                .with("max", scans.max().unwrap());
+            assert_eq!(r.metrics().get("partition.scan_cyc"), Some(&scan_cyc));
+            // Nothing beyond the expected counters and the summary.
+            assert_eq!(members.len(), expected.len() + 1, "{}", r.arch);
+        }
+    }
+
+    #[test]
+    fn skipped_report_metrics_have_no_partition_cache_or_engine_keys() {
+        let r = RunReport::skipped(Arch::Hipe, 100, 4, true);
+        let members = metric_members(&r);
+        for (name, _) in &members {
+            assert!(
+                !["partition.", "cache.", "engine."]
+                    .iter()
+                    .any(|prefix| name.starts_with(prefix)),
+                "{name}"
+            );
+        }
+        let mut expected = expected_counters(&r);
+        expected.extend([
+            ("cycles", 0),
+            ("matches", 0),
+            ("zonemap.regions_scanned", 0),
+            ("zonemap.regions_pruned", 4),
+        ]);
+        assert_counters(&members, &expected);
+        assert_eq!(members.len(), expected.len());
     }
 
     #[test]

@@ -208,12 +208,6 @@ impl PruneStats {
     pub fn total(&self) -> usize {
         self.scanned + self.pruned
     }
-
-    /// Accumulates another compile's stats (e.g. across shards).
-    pub fn absorb(&mut self, other: PruneStats) {
-        self.scanned += other.scanned;
-        self.pruned += other.pruned;
-    }
 }
 
 #[cfg(test)]
@@ -339,15 +333,14 @@ mod tests {
 
     #[test]
     fn prune_stats_arithmetic() {
-        let mut a = PruneStats::unpruned(10);
+        let a = PruneStats::unpruned(10);
+        assert_eq!((a.scanned, a.pruned), (10, 0));
         assert_eq!(a.total(), 10);
-        a.absorb(PruneStats {
+        let b = PruneStats {
             scanned: 3,
             pruned: 7,
-        });
-        assert_eq!(a.scanned, 13);
-        assert_eq!(a.pruned, 7);
-        assert_eq!(a.total(), 20);
+        };
+        assert_eq!(b.total(), 10);
     }
 
     #[test]

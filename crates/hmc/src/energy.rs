@@ -134,17 +134,6 @@ impl EnergyBreakdown {
     pub fn total_pj(&self) -> f64 {
         self.dram_pj() + self.link + self.logic + self.cache
     }
-
-    /// Merges another breakdown into this one.
-    pub fn merge(&mut self, other: &EnergyBreakdown) {
-        self.activate += other.activate;
-        self.read += other.read;
-        self.write += other.write;
-        self.link += other.link;
-        self.logic += other.logic;
-        self.cache += other.cache;
-        self.background += other.background;
-    }
 }
 
 impl std::fmt::Display for EnergyBreakdown {
@@ -188,19 +177,6 @@ mod tests {
             + 10.0 * m.cache_access_pj
             + 1000.0 * m.background_pj_per_cycle;
         assert!((e.total_pj() - by_hand).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_is_additive() {
-        let m = EnergyModel::paper();
-        let mut a = EnergyBreakdown::new();
-        a.add_dram_read(&m, 50);
-        let mut b = EnergyBreakdown::new();
-        b.add_dram_read(&m, 70);
-        a.merge(&b);
-        let mut c = EnergyBreakdown::new();
-        c.add_dram_read(&m, 120);
-        assert_eq!(a, c);
     }
 
     #[test]

@@ -118,7 +118,11 @@ impl EngineCluster {
 
     /// Merged activity counters across all engines.
     pub fn stats(&self) -> EngineStats {
-        self.engines.iter().map(Engine::stats).sum()
+        let mut merged = EngineStats::default();
+        for engine in &self.engines {
+            merged += engine.stats();
+        }
+        merged
     }
 
     /// Activity counters of one engine.
@@ -194,10 +198,9 @@ mod tests {
         assert_eq!(merged.instructions, 4);
         assert_eq!(merged.dram_loads, 2);
         assert_eq!(merged.blocks, 1);
-        assert_eq!(
-            merged,
-            cluster.partition_stats(0).merge(cluster.partition_stats(1))
-        );
+        let mut summed = cluster.partition_stats(0);
+        summed += cluster.partition_stats(1);
+        assert_eq!(merged, summed);
     }
 
     #[test]

@@ -212,7 +212,7 @@ fn closed_loop_keeps_inflight_at_clients() {
 
 #[test]
 fn admission_stall_counts_from_each_members_own_arrival() {
-    // Regression: `admit_batch` charged every member from the batch's
+    // Regression: admission charged every member from the batch's
     // *latest* arrival, so with a roomy window a staggered batch
     // reported zero stall even though early members demonstrably
     // waited for the batch to fill. Closed-loop clients start at

@@ -1,8 +1,8 @@
 //! The workspace's one JSON value, writer and parser.
 //!
 //! Every JSON document the workspace writes or reads goes through this
-//! module: the Chrome traces, the [`Metrics`](crate::Metrics) export,
-//! the figures sweep document and the checks over them.
+//! module: the Chrome traces and the run counters they embed, the
+//! figures sweep document and the checks over them.
 //!
 //! * [`Value`] keeps object members in insertion order, holds integers
 //!   exactly (all of `u64` and `i64`; answer digests exceed 2^53) and

@@ -1,4 +1,4 @@
-//! Cycle-domain tracing and metrics for the HIPE stack.
+//! Cycle-domain tracing for the HIPE stack.
 //!
 //! Every model in this workspace advances *simulated* time — modeled
 //! cycles, not host wall-clock — so observability has to live in the
@@ -10,12 +10,12 @@
 //!   recorder ([`Tracer`]) that exports Chrome Trace Event Format JSON
 //!   (loads directly in Perfetto / `chrome://tracing`, one simulated
 //!   cycle per viewer microsecond);
-//! * a [`Metrics`] registry of named counters / gauges / histograms
-//!   with snapshot, diff and JSON export, so component stats
-//!   (vault activity, cache hits, engine squashes) surface through one
-//!   uniform namespace instead of ad-hoc struct plumbing;
 //! * the workspace's one JSON value, writer and parser ([`json`]),
 //!   which every exported document goes through.
+//!
+//! Component counters stay in their typed `*Stats` structs; a run's
+//! counters reach a JSON document through `RunReport::metrics` in
+//! `hipe-core`, the one place their names are spelled.
 //!
 //! The tracing seam is an `Option<&mut dyn TraceSink>`: callers that
 //! pass `None` take one branch and otherwise run the exact code path
@@ -26,9 +26,6 @@
 
 mod chrome;
 pub mod json;
-mod metrics;
-
-pub use metrics::{Hist, Metric, Metrics};
 
 use hipe_sim::Cycle;
 
