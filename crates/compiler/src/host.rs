@@ -1,11 +1,16 @@
 //! Lowering of select scans to x86-baseline micro-op streams.
 
 use crate::error::CompileError;
-use hipe_db::{DsmLayout, PruneStats, Query, ZoneMap, COLUMN_BYTES, REGION_ROWS};
+use crate::scan_regions;
+use hipe_db::{DsmLayout, Query, ZoneMap, COLUMN_BYTES, REGION_ROWS};
 use hipe_isa::{MicroOp, MicroOpKind, OpSize};
+use std::ops::Range;
 
 /// Rows per vector line: one 64 B cache line of 8 B column values.
 const LINE_ROWS: usize = 8;
+
+/// Lines per 32-row region.
+const LINES_PER_REGION: usize = REGION_ROWS / LINE_ROWS;
 
 /// Lines per packed-mask word: 8 lines x 8 rows = 64 rows = one `u64`
 /// of match bits.
@@ -29,9 +34,11 @@ const LINES_PER_MASK_WORD: usize = 8;
 /// a packed mask word is only written if at least one of its 64 rows
 /// survives — fully pruned words keep the reset image's zeros, which
 /// is already the correct all-zero mask. A fully pruned query lowers
-/// to a valid *empty* stream, never an error: the machine's
-/// functional mask is computed by reference evaluation, so pruning
-/// here only removes timed work.
+/// to a valid *empty* stream, never an error.
+///
+/// Returns the stream with the runs of regions it scans
+/// ([`ZoneMap::live_regions`], or `0..regions` without `prune`): the
+/// executor evaluates the functional mask over exactly those regions.
 ///
 /// # Example
 ///
@@ -40,11 +47,10 @@ const LINES_PER_MASK_WORD: usize = 8;
 /// use hipe_db::{DsmLayout, Query};
 ///
 /// let layout = DsmLayout::new(0, 512);
-/// let (ops, stats) = lower_host_scan(&Query::q6(), &layout, None).expect("512 rows");
+/// let (ops, live) = lower_host_scan(&Query::q6(), &layout, None).expect("512 rows");
 /// // Three predicates, 64 lines each, >= 5 micro-ops per line.
 /// assert!(ops.len() >= 3 * 64 * 5);
-/// assert_eq!(stats.scanned, 16);
-/// assert_eq!(stats.pruned, 0);
+/// assert_eq!(live, vec![0..16]);
 /// ```
 ///
 /// # Errors
@@ -56,34 +62,14 @@ pub fn lower_host_scan(
     query: &Query,
     layout: &DsmLayout,
     prune: Option<&ZoneMap>,
-) -> Result<(Vec<MicroOp>, PruneStats), CompileError> {
-    if layout.rows() == 0 {
-        return Err(CompileError::EmptyTable);
-    }
-    if query.predicates().iter().any(|p| !p.cmp.satisfiable()) {
-        return Err(CompileError::PredicateUnsatisfiable);
-    }
-    if let Some(zm) = prune {
-        assert_eq!(
-            zm.regions(),
-            layout.regions(),
-            "zone map summarizes a different table than the layout"
-        );
-    }
-    let regions = layout.regions();
-    let keep: Vec<bool> = (0..regions)
-        .map(|r| prune.is_none_or(|zm| zm.region_may_match(query, r)))
-        .collect();
-    let scanned = keep.iter().filter(|&&k| k).count();
-    let stats = PruneStats {
-        scanned,
-        pruned: regions - scanned,
-    };
+) -> Result<(Vec<MicroOp>, Vec<Range<usize>>), CompileError> {
+    let live = scan_regions(query, layout, prune)?;
     let mask_base = layout.mask_base();
     let vec_size = OpSize::new(64).expect("64 B is a supported vector width");
     let lines = layout.rows().div_ceil(LINE_ROWS);
-    let live_lines: Vec<usize> = (0..lines)
-        .filter(|&l| keep[l * LINE_ROWS / REGION_ROWS])
+    let live_lines: Vec<usize> = live
+        .iter()
+        .flat_map(|run| run.start * LINES_PER_REGION..(run.end * LINES_PER_REGION).min(lines))
         .collect();
     let mut ops = Vec::with_capacity(query.predicates().len() * live_lines.len() * 6);
 
@@ -135,13 +121,13 @@ pub fn lower_host_scan(
             ops.push(MicroOp::new(MicroOpKind::Branch { mispredict: false }).with_deps(1, 0));
         }
     }
-    Ok((ops, stats))
+    Ok((ops, live))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hipe_db::{CmpOp, Column, ColumnPredicate};
+    use hipe_db::{CmpOp, Column, ColumnPredicate, PruneStats};
 
     fn one_pred_query() -> Query {
         Query::new(
@@ -239,11 +225,11 @@ mod tests {
         let zm = hipe_db::ZoneMap::build(&t);
         let layout = DsmLayout::new(0, rows);
         let q = Query::shipdate_window_permille(100);
-        let (full, fs) = lower_host_scan(&q, &layout, None).expect("valid");
-        let (pruned, ps) = lower_host_scan(&q, &layout, Some(&zm)).expect("valid");
-        assert_eq!(fs.pruned, 0);
-        assert_eq!(ps.total(), layout.regions());
-        assert!(ps.pruned > 0);
+        let (full, full_live) = lower_host_scan(&q, &layout, None).expect("valid");
+        let (pruned, live) = lower_host_scan(&q, &layout, Some(&zm)).expect("valid");
+        assert_eq!(full_live, vec![0..layout.regions()]);
+        assert_eq!(live, zm.live_regions(&q));
+        assert!(PruneStats::from_runs(&live, layout.regions()).pruned > 0);
         assert!(pruned.len() < full.len());
         // Pruned stream only stores words at least one region of which
         // survives — a subset of the full stream's word addresses.
@@ -273,9 +259,8 @@ mod tests {
             vec![ColumnPredicate::new(Column::Shipdate, CmpOp::Range(0, 50))],
             false,
         );
-        let (ops, stats) = lower_host_scan(&q, &layout, Some(&zm)).expect("empty is valid");
+        let (ops, live) = lower_host_scan(&q, &layout, Some(&zm)).expect("empty is valid");
         assert!(ops.is_empty());
-        assert_eq!(stats.scanned, 0);
-        assert_eq!(stats.pruned, layout.regions());
+        assert!(live.is_empty());
     }
 }

@@ -52,8 +52,10 @@
 //!
 //! The lowering is *timing-oriented*: the emitted streams drive the
 //! cycle models, while functional results are computed by the engines
-//! (logic path) or the reference evaluation over the memory image
-//! (host paths) in the top-level `hipe` crate.
+//! (logic path) or by evaluating the predicates over the memory image
+//! (host paths) in the top-level `hipe` crate. Every lowering also
+//! returns the runs of regions it scans, and the executors evaluate,
+//! read back and reset exactly those regions.
 //!
 //! Entry points not needed yet by the driver (NSM tuple-at-a-time
 //! lowering) are future work tracked in the ROADMAP.
@@ -69,3 +71,38 @@ pub use host::lower_host_scan;
 pub use logic::{
     lower_logic_aggregate, lower_logic_scan, LogicScanProgram, AGG_SLOT_BYTES, REGION_ROWS,
 };
+
+use hipe_db::{DsmLayout, Query, ZoneMap};
+use std::ops::Range;
+
+/// Checks a scan's inputs and returns the regions every lowering
+/// visits: the single run over the whole table, or with `prune` the
+/// zone map's live runs ([`ZoneMap::live_regions`]).
+///
+/// # Panics
+///
+/// Panics if `prune` summarizes a table with a different region count
+/// than `layout`.
+fn scan_regions(
+    query: &Query,
+    layout: &DsmLayout,
+    prune: Option<&ZoneMap>,
+) -> Result<Vec<Range<usize>>, CompileError> {
+    if layout.rows() == 0 {
+        return Err(CompileError::EmptyTable);
+    }
+    if query.predicates().iter().any(|p| !p.cmp.satisfiable()) {
+        return Err(CompileError::PredicateUnsatisfiable);
+    }
+    Ok(match prune {
+        None => std::iter::once(0..layout.regions()).collect(),
+        Some(zm) => {
+            assert_eq!(
+                zm.regions(),
+                layout.regions(),
+                "zone map summarizes a different table than the layout"
+            );
+            zm.live_regions(query)
+        }
+    })
+}

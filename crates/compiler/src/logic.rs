@@ -2,8 +2,10 @@
 //! logic-layer programs — one per vault-group partition.
 
 use crate::error::CompileError;
+use crate::scan_regions;
 use hipe_db::{CmpOp, Column, DsmLayout, PruneStats, Query, ZoneMap, REGION_BYTES};
 use hipe_isa::{AluOp, LogicInstr, LogicProgram, OpSize, PartitionSpec, Predicate, RegId};
+use std::ops::Range;
 
 /// Rows covered by one logic-layer operation: a full 256 B register
 /// (32 x 8 B lanes), which is also one DRAM row buffer.
@@ -64,7 +66,7 @@ pub struct LogicScanProgram {
     programs: Vec<LogicProgram>,
     layout: DsmLayout,
     aggregate: bool,
-    prune: PruneStats,
+    live: Vec<Range<usize>>,
 }
 
 impl LogicScanProgram {
@@ -137,11 +139,20 @@ impl LogicScanProgram {
         }
     }
 
+    /// The runs of regions the emitted streams scan
+    /// ([`ZoneMap::live_regions`], or `0..regions` when lowered
+    /// without a zone map). Only these regions' mask chunks and
+    /// partial-sum slots can be written.
+    pub fn live_regions(&self) -> &[Range<usize>] {
+        &self.live
+    }
+
     /// Regions the emitted streams scan vs. regions the zone map let
     /// the compiler drop ([`PruneStats::unpruned`] when lowered
-    /// without one).
+    /// without one), derived from
+    /// [`live_regions`](Self::live_regions).
     pub fn prune_stats(&self) -> PruneStats {
-        self.prune
+        PruneStats::from_runs(&self.live, self.regions())
     }
 }
 
@@ -253,20 +264,7 @@ fn lower(
     fused_aggregate: bool,
     prune: Option<&ZoneMap>,
 ) -> Result<LogicScanProgram, CompileError> {
-    if layout.rows() == 0 {
-        return Err(CompileError::EmptyTable);
-    }
-    if query.predicates().iter().any(|p| !p.cmp.satisfiable()) {
-        return Err(CompileError::PredicateUnsatisfiable);
-    }
-    if let Some(zm) = prune {
-        assert_eq!(
-            zm.regions(),
-            layout.regions(),
-            "zone map summarizes a different table than the layout"
-        );
-    }
-    let mut stats = PruneStats::default();
+    let live = scan_regions(query, layout, prune)?;
     let size = OpSize::MAX;
     let npreds = query.predicates().len();
     let tail_len = if fused_aggregate { 6 } else { 0 };
@@ -294,20 +292,14 @@ fn lower(
             let vaults = layout.vault_group(p);
             PartitionSpec::new(p, vaults.start, vaults.len())
         };
-        let owned: Vec<usize> = layout.partition_regions(p).collect();
-        // The pruning pass: keep only regions the zone map can't prove
-        // empty. Survivors keep their *unpruned* local index (computed
-        // below) so output slots never move.
-        let survivors: Vec<usize> = match prune {
-            Some(zm) => owned
-                .iter()
-                .copied()
-                .filter(|&r| zm.region_may_match(query, r))
-                .collect(),
-            None => owned.clone(),
-        };
-        stats.scanned += survivors.len();
-        stats.pruned += owned.len() - survivors.len();
+        // The partition's live regions. Survivors keep their
+        // *unpruned* local index (computed below) so output slots
+        // never move.
+        let survivors: Vec<usize> = live
+            .iter()
+            .flat_map(|run| run.clone())
+            .filter(|&r| layout.partition_of_region(r) == p)
+            .collect();
         if survivors.is_empty() {
             programs.push(LogicProgram::new(spec, Vec::new()));
             continue;
@@ -466,7 +458,7 @@ fn lower(
         programs,
         layout: *layout,
         aggregate: fused_aggregate,
-        prune: stats,
+        live,
     })
 }
 
@@ -876,7 +868,7 @@ mod tests {
         for (p, lp) in pruned.programs().iter().enumerate() {
             let expected: Vec<u8> = layout
                 .partition_regions(p)
-                .filter(|&r| zm.region_may_match(&q, r))
+                .filter(|&r| zm.region(r).may_match(&q))
                 .map(|r| (layout.local_region_index(r) % AGG_GROUP) as u8)
                 .collect();
             let lanes: Vec<u8> = lp

@@ -4,9 +4,10 @@ use crate::report::{Arch, RunReport};
 use crate::session::Session;
 use crate::system::System;
 use crate::{host, neardata};
-use hipe_compiler::{CompileError, LogicScanProgram, STOCK_HMC_OP};
-use hipe_db::{PruneStats, Query};
+use hipe_compiler::{CompileError, LogicScanProgram, REGION_ROWS, STOCK_HMC_OP};
+use hipe_db::{PruneStats, Query, TableShape};
 use hipe_isa::{MicroOp, OpSize};
+use std::ops::Range;
 
 /// One architecture's compile/execute implementation.
 ///
@@ -65,8 +66,12 @@ pub trait Backend {
 #[derive(Debug, Clone)]
 pub(crate) enum PlanCode {
     /// A micro-op stream executed by the out-of-order core (x86
-    /// baseline and HMC-ISA machines).
-    Micro(Vec<MicroOp>),
+    /// baseline and HMC-ISA machines), with the runs of regions it
+    /// scans.
+    Micro {
+        ops: Vec<MicroOp>,
+        live: Vec<Range<usize>>,
+    },
     /// Per-partition logic-layer programs posted to the in-cube
     /// engine cluster (HIVE/HIPE) — one program per vault group.
     /// Aggregate queries carry the fused aggregate tail unless the
@@ -89,11 +94,25 @@ pub struct ExecutablePlan {
     query: Query,
     rows: usize,
     partitions: usize,
-    prune: PruneStats,
+    /// `(seed, row_offset, shape)` of the table the plan was lowered
+    /// against: a pruned plan's live regions hold only for that table.
+    table: (u64, usize, TableShape),
     code: PlanCode,
 }
 
 impl ExecutablePlan {
+    fn new(sys: &System, arch: Arch, query: &Query, code: PlanCode) -> Self {
+        let cfg = sys.config();
+        ExecutablePlan {
+            arch,
+            query: query.clone(),
+            rows: cfg.rows,
+            partitions: cfg.partitions,
+            table: (cfg.seed, cfg.row_offset, cfg.shape),
+            code,
+        }
+    }
+
     /// The architecture the plan was compiled for.
     pub fn arch(&self) -> Arch {
         self.arch
@@ -116,21 +135,40 @@ impl ExecutablePlan {
         self.partitions
     }
 
+    /// `(seed, row_offset, shape)` of the table the plan was compiled
+    /// against ([`Session::run_plan`] checks it for pruned plans).
+    pub(crate) fn table(&self) -> (u64, usize, TableShape) {
+        self.table
+    }
+
     /// Number of lowered instructions in the plan (micro-ops or
     /// logic-layer instructions).
     pub fn instructions(&self) -> usize {
         match &self.code {
-            PlanCode::Micro(ops) => ops.len(),
+            PlanCode::Micro { ops, .. } => ops.len(),
             PlanCode::Logic { program, .. } => program.total_instrs(),
         }
     }
 
+    /// The sorted, coalesced runs of 32-row regions the plan scans:
+    /// `0..regions` without [`SystemConfig::pruning`](crate::SystemConfig),
+    /// otherwise the zone map's
+    /// [`live_regions`](hipe_db::ZoneMap::live_regions). Executing the
+    /// plan evaluates, reads back and writes only these regions.
+    pub fn live_regions(&self) -> &[Range<usize>] {
+        match &self.code {
+            PlanCode::Micro { live, .. } => live,
+            PlanCode::Logic { program, .. } => program.live_regions(),
+        }
+    }
+
     /// How many 32-row regions the plan scans versus how many the
-    /// zone map pruned at compile time. Without
+    /// zone map pruned at compile time, derived from
+    /// [`live_regions`](Self::live_regions). Without
     /// [`SystemConfig::pruning`](crate::SystemConfig) every region is
     /// scanned and `pruned` is zero.
     pub fn prune_stats(&self) -> PruneStats {
-        self.prune
+        PruneStats::from_runs(self.live_regions(), self.rows.div_ceil(REGION_ROWS))
     }
 
     /// Returns `true` when the plan runs its aggregate fused inside
@@ -138,7 +176,7 @@ impl ExecutablePlan {
     /// rather than as a host-side gather of matched tuples.
     pub fn fused_aggregate(&self) -> bool {
         match &self.code {
-            PlanCode::Micro(_) => false,
+            PlanCode::Micro { .. } => false,
             PlanCode::Logic { program, .. } => program.aggregate_base().is_some(),
         }
     }
@@ -168,15 +206,13 @@ impl Backend for HostX86Backend {
 
     fn compile(&self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError> {
         sys.note_compilation();
-        let (ops, prune) = hipe_compiler::lower_host_scan(query, sys.layout(), sys.prune())?;
-        Ok(ExecutablePlan {
-            arch: Arch::HostX86,
-            query: query.clone(),
-            rows: sys.config().rows,
-            partitions: sys.config().partitions,
-            prune,
-            code: PlanCode::Micro(ops),
-        })
+        let (ops, live) = hipe_compiler::lower_host_scan(query, sys.layout(), sys.prune())?;
+        Ok(ExecutablePlan::new(
+            sys,
+            Arch::HostX86,
+            query,
+            PlanCode::Micro { ops, live },
+        ))
     }
 
     fn execute(&self, session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
@@ -210,16 +246,14 @@ impl Backend for HmcIsaBackend {
 
     fn compile(&self, sys: &System, query: &Query) -> Result<ExecutablePlan, CompileError> {
         sys.note_compilation();
-        let (ops, prune) =
+        let (ops, live) =
             hipe_compiler::lower_hmc_scan(query, sys.layout(), self.op_size, sys.prune())?;
-        Ok(ExecutablePlan {
-            arch: Arch::HmcIsa,
-            query: query.clone(),
-            rows: sys.config().rows,
-            partitions: sys.config().partitions,
-            prune,
-            code: PlanCode::Micro(ops),
-        })
+        Ok(ExecutablePlan::new(
+            sys,
+            Arch::HmcIsa,
+            query,
+            PlanCode::Micro { ops, live },
+        ))
     }
 
     fn execute(&self, session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
@@ -279,17 +313,15 @@ fn compile_logic(
     } else {
         hipe_compiler::lower_logic_scan(query, sys.layout(), predicated, sys.prune())?
     };
-    Ok(ExecutablePlan {
+    Ok(ExecutablePlan::new(
+        sys,
         arch,
-        query: query.clone(),
-        rows: sys.config().rows,
-        partitions: sys.config().partitions,
-        prune: program.prune_stats(),
-        code: PlanCode::Logic {
+        query,
+        PlanCode::Logic {
             program,
             predicated,
         },
-    })
+    ))
 }
 
 impl Backend for HiveBackend {

@@ -11,10 +11,11 @@ use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
 use crate::session::Session;
 use hipe_cache::CacheHierarchy;
 use hipe_cpu::{Core, MemoryPort};
-use hipe_db::Bitmask;
+use hipe_db::{Bitmask, DsmLayout, Query, REGION_ROWS};
 use hipe_hmc::{AccessKind, Hmc};
 use hipe_isa::{MicroOpKind, OpSize, VaultOp};
 use hipe_sim::Cycle;
+use std::ops::Range;
 
 /// Memory port of the host-driven architectures: demand reads/writes go
 /// through the cache hierarchy, HMC-ISA dispatches go straight to the
@@ -61,11 +62,39 @@ impl MemoryPort for CachedPort<'_> {
     }
 }
 
+/// The packed 64-row mask words covering the region run `run` (two
+/// 32-row regions per word).
+pub(crate) fn packed_words(run: &Range<usize>) -> Range<usize> {
+    let regions_per_word = 64 / REGION_ROWS;
+    run.start / regions_per_word..run.end.div_ceil(regions_per_word)
+}
+
+/// Match bits of rows `start..end` (at most one word) in the cube
+/// image: bit `i` is set when row `start + i` satisfies every
+/// predicate of `query`.
+fn match_bits(hmc: &Hmc, layout: &DsmLayout, query: &Query, start: usize, end: usize) -> u64 {
+    let n = end - start;
+    query
+        .predicates()
+        .iter()
+        .fold(u64::MAX >> (64 - n), |bits, p| {
+            let lanes = hmc.read_bytes(layout.value_addr(p.column, start), n * 8);
+            let hits = lanes
+                .chunks_exact(8)
+                .enumerate()
+                .fold(0, |hits, (i, lane)| {
+                    let v = i64::from_le_bytes(lane.try_into().expect("8 B lanes"));
+                    hits | u64::from(p.cmp.eval(v)) << i
+                });
+            bits & hits
+        })
+}
+
 /// Executes a compiled micro-op plan (x86 baseline or HMC-ISA) against
 /// the session's warm image.
 pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
     let sys = session.system();
-    let PlanCode::Micro(ops) = plan.code() else {
+    let PlanCode::Micro { ops, live } = plan.code() else {
         unreachable!("the host executor requires a micro-op plan");
     };
     let query = plan.query();
@@ -92,22 +121,23 @@ pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunRe
     let scan_stats = session.hmc().stats();
 
     // Functional outcome of the scan kernel: evaluate the predicates
-    // over the column values resident in the cube image and write the
-    // packed mask words the store stream modelled.
-    let rows = sys.layout().rows();
+    // over the live regions' column values resident in the cube image,
+    // a packed word at a time, and write the mask words the store
+    // stream modelled. Words over pruned regions keep the reset
+    // image's zeros.
+    let layout = sys.layout();
+    let rows = layout.rows();
     let hmc = session.hmc_mut();
-    let bitmask = Bitmask::from_fn(rows, |w| {
-        let start = w * 64;
-        let end = (start + 64).min(rows);
-        let mut bits = 0u64;
-        for i in start..end {
-            let hit = query.matches_with(|c| hmc.read_u64(sys.layout().value_addr(c, i)) as i64);
-            bits |= (hit as u64) << (i - start);
+    let mut bitmask = Bitmask::zeros(rows);
+    for run in live {
+        let (lo, hi) = (run.start * REGION_ROWS, (run.end * REGION_ROWS).min(rows));
+        // Runs are maximal, so no two of them share a word.
+        for w in packed_words(run) {
+            let (start, end) = (lo.max(w * 64), hi.min(w * 64 + 64));
+            let bits = match_bits(hmc, layout, query, start, end) << (start - w * 64);
+            bitmask.set_word(w, bits);
+            hmc.write_u64(sys.mask_base() + w as u64 * 8, bits);
         }
-        bits
-    });
-    for (w, word) in bitmask.words().iter().enumerate() {
-        hmc.write_u64(sys.mask_base() + w as u64 * 8, *word);
     }
 
     // Host-side aggregate gather, through the caches like any other
@@ -234,6 +264,9 @@ mod tests {
 
     #[test]
     fn packed_mask_lands_in_image() {
+        use crate::system::SystemConfig;
+        use hipe_db::TableShape;
+
         let sys = System::new(128, 9);
         let q = Query::quantity_below_permille(500);
         let mut session = sys.session();
@@ -249,6 +282,32 @@ mod tests {
                 session.hmc().read_u64(sys.mask_base() + w as u64 * 8),
                 expect
             );
+        }
+
+        // On a pruned system, words over live regions hold the bitmask
+        // and words over pruned regions are never written.
+        let rows = 4096;
+        let mut cfg = SystemConfig::paper(rows, 9);
+        cfg.shape = TableShape::ClusteredShipdate { total_rows: rows };
+        cfg.pruning = true;
+        let sys = System::with_config(cfg);
+        let q = Query::shipdate_window_permille(30);
+        for arch in [Arch::HostX86, Arch::HmcIsa] {
+            let mut session = sys.session();
+            let plan = session.plan(arch, &q);
+            let report = session.run_plan(&plan);
+            let live: Vec<usize> = plan.live_regions().iter().flat_map(packed_words).collect();
+            assert!(!live.is_empty() && live.len() < rows / 64, "{arch}");
+            let words = report.result.bitmask.words();
+            for (w, &bits) in words.iter().enumerate() {
+                let image = session.hmc().read_u64(sys.mask_base() + w as u64 * 8);
+                if live.contains(&w) {
+                    assert_eq!(image, bits, "{arch} live word {w}");
+                } else {
+                    assert_eq!((image, bits), (0, 0), "{arch} pruned word {w}");
+                }
+            }
+            assert!(report.result.matches > 0, "{arch}");
         }
     }
 

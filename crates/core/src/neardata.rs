@@ -25,7 +25,7 @@ use crate::session::Session;
 use hipe_compiler::{LogicScanProgram, REGION_ROWS};
 use hipe_cpu::{Core, MemoryPort};
 use hipe_db::scan::ScanResult;
-use hipe_db::Bitmask;
+use hipe_db::{Bitmask, REGION_BYTES};
 use hipe_hmc::Hmc;
 use hipe_isa::{LogicInstr, MicroOp, MicroOpKind, OpSize, VaultOp};
 use hipe_logic::EngineCluster;
@@ -215,8 +215,13 @@ pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunRe
         // The functional aggregate comes from the partials the engines
         // actually stored, so the fused path is checked bit for bit
         // against the reference executor like everything else.
+        // Pruned regions' slots hold the reset image's zeros, so only
+        // the live regions contribute.
         let matches = bitmask.count_ones();
-        let aggregate = (0..program.regions())
+        let aggregate = program
+            .live_regions()
+            .iter()
+            .flat_map(|run| run.clone())
             .map(|i| hmc.read_u64(program.agg_addr(i)) as i64 as i128)
             .sum();
         ScanResult {
@@ -268,15 +273,24 @@ pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunRe
 }
 
 /// Reads the engine-written per-region masks (one 0/1 lane per row)
-/// back from the cube image as a row bitmask.
+/// of the program's live regions back from the cube image as a row
+/// bitmask; pruned regions were never written and read as no match.
 fn read_mask(hmc: &Hmc, program: &LogicScanProgram, rows: usize) -> Bitmask {
-    (0..rows)
-        .map(|i| {
-            let region = i / REGION_ROWS;
-            let lane = (i % REGION_ROWS) as u64;
-            hmc.read_u64(program.mask_addr(region) + lane * 8) != 0
-        })
-        .collect()
+    let mut mask = Bitmask::zeros(rows);
+    for region in program.live_regions().iter().flat_map(|run| run.clone()) {
+        let lanes = hmc.read_bytes(program.mask_addr(region), REGION_BYTES as usize);
+        let bits = lanes
+            .chunks_exact(8)
+            .enumerate()
+            .fold(0u64, |bits, (i, lane)| {
+                bits | u64::from(lane != [0; 8]) << i
+            });
+        // Two regions per packed word; lanes past the last row are
+        // dropped by `set_word`.
+        let (w, shift) = (region * REGION_ROWS / 64, region * REGION_ROWS % 64);
+        mask.set_word(w, mask.words()[w] | bits << shift);
+    }
+    mask
 }
 
 #[cfg(test)]

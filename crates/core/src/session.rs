@@ -1,11 +1,13 @@
 //! Warm execution sessions: one materialized cube image, many runs.
 
 use crate::backend::ExecutablePlan;
+use crate::host;
 use crate::report::{Arch, RunReport};
 use crate::system::System;
-use hipe_db::Query;
+use hipe_db::{Query, REGION_BYTES};
 use hipe_hmc::Hmc;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// A compiled-plan cache shared by sessions over bit-identical
@@ -49,7 +51,7 @@ impl PlanCache {
             Arc::new(
                 System::backend(arch)
                     .compile(sys, query)
-                    .expect("queries over a live system always compile"),
+                    .expect("only unsatisfiable predicates fail to compile over a live system"),
             )
         });
         Arc::clone(plan)
@@ -60,11 +62,19 @@ impl PlanCache {
 ///
 /// Creating a session materializes the generated table into the cube
 /// image **once**; every subsequent run reuses that image. Before each
-/// run the session applies its *reset protocol* — the mask output area
-/// is cleared and the cube's run-scoped timing, stats and energy
-/// meters are rebuilt ([`Hmc::reset_run_state`]) while the table bytes
-/// stay put — so a warm run is bit- and cycle-identical to a cold
-/// [`System::run`] (the integration tests assert this).
+/// run the session applies its *reset protocol*: it zeroes the output
+/// footprint of the last plan it executed — the packed mask words and
+/// 256 B region masks over that plan's live regions, plus the
+/// aggregate partial-sum area — and rebuilds the cube's run-scoped
+/// timing, stats and energy meters ([`Hmc::reset_run_state`]) while
+/// the table bytes stay put. A run writes nothing outside its plan's
+/// footprint, so the image before each run is the cold image, and a
+/// warm run is bit- and cycle-identical to a cold [`System::run`] (the
+/// integration tests assert this). The reset costs what the last run
+/// scanned, not what the table holds. When the last writer is unknown
+/// — a fresh or rematerialized session, or a call to
+/// [`reset`](Self::reset) — the whole mask and aggregate area is
+/// zeroed instead.
 ///
 /// This is the execution half of the compile → session → execute
 /// split: plans compiled by a [`Backend`](crate::Backend) can be
@@ -96,6 +106,10 @@ pub struct Session<'a> {
     /// Cross-session fallback consulted on a local miss; see
     /// [`PlanCache`]. `None` for standalone sessions.
     shared: Option<Arc<PlanCache>>,
+    /// Live region runs of the last plan [`run_plan`](Self::run_plan)
+    /// executed — the output footprint the next reset zeroes. `None`
+    /// when the last writer is unknown: the whole output area.
+    written: Option<Vec<Range<usize>>>,
 }
 
 // Compile-time guard for host-parallel co-simulation: a `System` must
@@ -135,6 +149,7 @@ impl<'a> Session<'a> {
             hmc: sys.fresh_hmc(),
             plans: HashMap::new(),
             shared,
+            written: None,
         }
     }
 
@@ -153,18 +168,46 @@ impl<'a> Session<'a> {
         &mut self.hmc
     }
 
-    /// Applies the reset protocol: zeroes the mask output area and
-    /// rebuilds the cube's run-scoped timing/stat/energy state, leaving
-    /// the table image untouched.
+    /// Applies the reset protocol for a caller that drives a
+    /// [`Backend`](crate::Backend) by hand: zeroes the whole mask and
+    /// aggregate output area — the writer of the last run is unknown
+    /// here — and rebuilds the cube's run-scoped timing/stat/energy
+    /// state, leaving the table image untouched.
     ///
     /// [`run`](Self::run), [`run_plan`](Self::run_plan) and
-    /// [`run_all`](Self::run_all) call this before every execution;
-    /// it only needs to be invoked directly when driving a
-    /// [`Backend`](crate::Backend) by hand.
+    /// [`run_all`](Self::run_all) reset before every execution
+    /// themselves, zeroing only the footprint of the plan they ran
+    /// last.
     pub fn reset(&mut self) {
-        let mask_base = self.sys.mask_base();
-        let mask_len = self.hmc.image_len() - mask_base as usize;
-        self.hmc.zero_bytes(mask_base, mask_len);
+        self.written = None;
+        self.clear_outputs();
+    }
+
+    /// Zeroes the recorded output footprint (the whole output area
+    /// when none is recorded), forgets it, and rebuilds the cube's
+    /// run-scoped state.
+    fn clear_outputs(&mut self) {
+        let layout = self.sys.layout();
+        let mask_base = layout.mask_base();
+        match self.written.take() {
+            None => {
+                let len = self.hmc.image_len() - mask_base as usize;
+                self.hmc.zero_bytes(mask_base, len);
+            }
+            Some(runs) => {
+                for run in &runs {
+                    // The logic machines' 256 B region masks...
+                    let masks = run.len() * REGION_BYTES as usize;
+                    self.hmc.zero_bytes(layout.mask_addr(run.start), masks);
+                    // ...and the host machines' packed 8 B words.
+                    let words = host::packed_words(run);
+                    self.hmc
+                        .zero_bytes(mask_base + words.start as u64 * 8, words.len() * 8);
+                }
+                self.hmc
+                    .zero_bytes(layout.agg_base(), layout.agg_area_bytes() as usize);
+            }
+        }
         self.hmc.reset_run_state();
     }
 
@@ -176,10 +219,16 @@ impl<'a> Session<'a> {
     /// deterministic, so the cached plan is the plan a fresh compile
     /// would produce; [`System::compilations`] observes the saving).
     ///
-    /// Compile errors cannot occur here: a live [`System`] always has
-    /// at least one row, which is the only way a query over it could
-    /// fail to lower. (Driving a [`Backend`](crate::Backend) by hand
-    /// exposes the typed error.)
+    /// A live [`System`] always has at least one row, so the only
+    /// compile error that can occur here is a statically unsatisfiable
+    /// predicate. Driving a [`Backend`](crate::Backend) by hand
+    /// exposes it as a typed [`CompileError`](crate::CompileError).
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`CompileError::PredicateUnsatisfiable`](crate::CompileError::PredicateUnsatisfiable)
+    /// if `query` holds an inverted [`CmpOp::Range`](hipe_db::CmpOp::Range)
+    /// (`lo > hi`).
     pub fn run(&mut self, arch: Arch, query: &Query) -> RunReport {
         let plan = self.plan(arch, query);
         self.run_plan(&plan)
@@ -215,7 +264,7 @@ impl<'a> Session<'a> {
             None => Arc::new(
                 System::backend(arch)
                     .compile(self.sys, query)
-                    .expect("queries over a live system always compile"),
+                    .expect("only unsatisfiable predicates fail to compile over a live system"),
             ),
         };
         self.plans
@@ -233,6 +282,7 @@ impl<'a> Session<'a> {
     /// one [`System::materializations`].
     pub fn rematerialize(&mut self) {
         self.sys.rematerialize_into(&mut self.hmc);
+        self.written = None;
     }
 
     /// Executes an already-compiled plan against the warm image.
@@ -241,19 +291,31 @@ impl<'a> Session<'a> {
     ///
     /// Panics if the plan was compiled for a differently-sized or
     /// differently-partitioned system (both change the address layout
-    /// the plan's code is baked against).
+    /// the plan's code is baked against), or if the plan prunes
+    /// regions and was compiled for a table with a different seed,
+    /// row offset or shape (its live regions hold only for that
+    /// table's zone map).
     pub fn run_plan(&mut self, plan: &ExecutablePlan) -> RunReport {
+        let cfg = self.sys.config();
         assert_eq!(
             plan.rows(),
-            self.sys.config().rows,
+            cfg.rows,
             "plan was compiled for a different system"
         );
         assert_eq!(
             plan.partitions(),
-            self.sys.config().partitions,
+            cfg.partitions,
             "plan was compiled for a different system (partition count)"
         );
-        self.reset();
+        if plan.prune_stats().pruned > 0 {
+            assert_eq!(
+                plan.table(),
+                (cfg.seed, cfg.row_offset, cfg.shape),
+                "pruned plan was compiled for a different table (seed, row offset, shape)"
+            );
+        }
+        self.clear_outputs();
+        self.written = Some(plan.live_regions().to_vec());
         System::backend(plan.arch()).execute(self, plan)
     }
 

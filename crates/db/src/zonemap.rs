@@ -20,6 +20,7 @@
 use crate::layout::{DsmLayout, REGION_ROWS};
 use crate::lineitem::{Column, LineitemTable};
 use crate::query::Query;
+use std::ops::Range;
 
 /// Per-column `[min, max]` plus a row count for one summarized extent —
 /// a single 32-row region, or a rollup of many (partition, table).
@@ -99,7 +100,7 @@ impl RegionSummary {
 /// assert_eq!(zm.regions(), 32);
 /// // A narrow date window prunes most regions of a clustered table.
 /// let q = Query::shipdate_window_permille(30);
-/// let kept = (0..zm.regions()).filter(|&r| zm.region_may_match(&q, r)).count();
+/// let kept: usize = zm.live_regions(&q).iter().map(|run| run.len()).sum();
 /// assert!(kept < zm.regions() / 4, "kept {kept}");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,13 +156,22 @@ impl ZoneMap {
         &self.table
     }
 
-    /// Whether region `r` can contain a match for `query`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn region_may_match(&self, query: &Query, r: usize) -> bool {
-        self.regions[r].may_match(query)
+    /// The regions that can contain a match for `query`, coalesced
+    /// into sorted, disjoint, maximal runs of region indices — what a
+    /// pruned scan visits. A query nothing prunes yields the single
+    /// run `0..regions`; a query every region refutes yields no runs.
+    pub fn live_regions(&self, query: &Query) -> Vec<Range<usize>> {
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for (r, s) in self.regions.iter().enumerate() {
+            if !s.may_match(query) {
+                continue;
+            }
+            match runs.last_mut() {
+                Some(run) if run.end == r => run.end = r + 1,
+                _ => runs.push(r..r + 1),
+            }
+        }
+        runs
     }
 
     /// Whether *any* region can contain a match — the rollup the serve
@@ -201,6 +211,16 @@ impl PruneStats {
         PruneStats {
             scanned: regions,
             pruned: 0,
+        }
+    }
+
+    /// Stats of a scan visiting the region `runs` (as returned by
+    /// [`ZoneMap::live_regions`]) of a `regions`-region table.
+    pub fn from_runs(runs: &[Range<usize>], regions: usize) -> Self {
+        let scanned = runs.iter().map(|run| run.len()).sum();
+        PruneStats {
+            scanned,
+            pruned: regions - scanned,
         }
     }
 
@@ -259,7 +279,7 @@ mod tests {
                 let has_match = (lo..hi).any(|i| r.bitmask.get(i));
                 if has_match {
                     assert!(
-                        zm.region_may_match(&q, region),
+                        zm.region(region).may_match(&q),
                         "region {region} pruned but matches at {permille} permille"
                     );
                 }
@@ -283,12 +303,12 @@ mod tests {
             CmpOp::Range(s.max(c), s.max(c)),
         ] {
             let q = Query::new(vec![ColumnPredicate::new(c, cmp)], false);
-            assert!(zm.region_may_match(&q, 0), "{cmp:?} wrongly pruned");
+            assert!(zm.region(0).may_match(&q), "{cmp:?} wrongly pruned");
         }
         // And one past each extreme must prune.
         for cmp in [CmpOp::Lt(s.min(c)), CmpOp::Gt(s.max(c))] {
             let q = Query::new(vec![ColumnPredicate::new(c, cmp)], false);
-            assert!(!zm.region_may_match(&q, 0), "{cmp:?} wrongly kept");
+            assert!(!zm.region(0).may_match(&q), "{cmp:?} wrongly kept");
         }
     }
 
@@ -344,15 +364,60 @@ mod tests {
     }
 
     #[test]
+    fn live_regions_coalesce_sorted_runs() {
+        let t = LineitemTable::generate_clustered_range(9, 0, 2048, 2048);
+        let zm = ZoneMap::build(&t);
+        let regions = zm.regions();
+        for permille in [1, 10, 30, 100, 500] {
+            let q = Query::shipdate_window_permille(permille);
+            let runs = zm.live_regions(&q);
+            // Non-empty, sorted, disjoint and maximal (a gap between
+            // every two runs), covering exactly the regions that may
+            // match.
+            assert!(runs.iter().all(|run| run.start < run.end));
+            assert!(runs.windows(2).all(|w| w[0].end < w[1].start));
+            let live: Vec<usize> = runs.iter().flat_map(|run| run.clone()).collect();
+            let expect: Vec<usize> = (0..regions)
+                .filter(|&r| zm.region(r).may_match(&q))
+                .collect();
+            assert_eq!(live, expect, "{permille} permille");
+            let stats = PruneStats::from_runs(&runs, regions);
+            assert_eq!(stats.scanned, expect.len());
+            assert_eq!(stats.total(), regions);
+            assert!(stats.pruned > 0, "{permille} permille pruned nothing");
+        }
+        // Nothing pruned: the single run over the whole table.
+        let all = Query::shipdate_window_permille(1000);
+        assert_eq!(zm.live_regions(&all), vec![0..regions]);
+        assert_eq!(
+            PruneStats::from_runs(&zm.live_regions(&all), regions),
+            PruneStats::unpruned(regions)
+        );
+        // Everything pruned: no runs at all.
+        let none = Query::new(
+            vec![
+                ColumnPredicate::new(Column::Shipdate, CmpOp::Ge(2000)),
+                ColumnPredicate::new(Column::Shipdate, CmpOp::Lt(100)),
+            ],
+            false,
+        );
+        assert_eq!(zm.live_regions(&none), Vec::<Range<usize>>::new());
+        assert_eq!(
+            PruneStats::from_runs(&[], regions),
+            PruneStats {
+                scanned: 0,
+                pruned: regions
+            }
+        );
+    }
+
+    #[test]
     fn uniform_tables_rarely_prune_midrange_queries() {
         // The motivating contrast: uniform regions span the whole
         // domain, so a mid-domain window prunes nothing.
         let t = LineitemTable::generate(2048, 19);
         let zm = ZoneMap::build(&t);
         let q = Query::shipdate_window_permille(100);
-        let kept = (0..zm.regions())
-            .filter(|&r| zm.region_may_match(&q, r))
-            .count();
-        assert_eq!(kept, zm.regions());
+        assert_eq!(zm.live_regions(&q), vec![0..zm.regions()]);
     }
 }

@@ -255,9 +255,12 @@ impl Hmc {
     /// This is the cube half of a warm session's reset protocol: after
     /// the call, the cube times and meters accesses exactly like a
     /// freshly constructed one, but the (expensive) table image does
-    /// not have to be re-materialized. Callers that reuse output areas
-    /// (e.g. scan mask buffers) must clear those bytes themselves via
-    /// [`write_bytes`](Self::write_bytes).
+    /// not have to be re-materialized. The image half is the caller's:
+    /// whatever output bytes the last run wrote must be cleared with
+    /// [`zero_bytes`](Self::zero_bytes). A warm session zeroes only its
+    /// last plan's output footprint (the mask bytes of the regions it
+    /// scanned and the aggregate area), or the whole output area when
+    /// it cannot tell what the last run wrote.
     pub fn reset_run_state(&mut self) {
         let (num, den) = self.cfg.link_rate();
         self.vaults = (0..self.cfg.vaults)

@@ -6,8 +6,8 @@
 //! [`hipe::System::run`] — so batches are deterministic and
 //! independent of execution order.
 
-use hipe::{Arch, RunReport, System};
-use hipe_db::Query;
+use hipe::{Arch, RunReport, System, SystemConfig, TableShape};
+use hipe_db::{CmpOp, Column, ColumnPredicate, Query};
 
 const ROWS: usize = 8192;
 const SEED: u64 = 2024;
@@ -176,4 +176,93 @@ fn foreign_plans_are_rejected() {
         .compile(&small, &Query::q6())
         .expect("Q6 compiles");
     let _ = big.session().run_plan(&plan);
+}
+
+/// A shipdate-clustered system of `rows` tuples over `partitions`
+/// vault groups: the shape under which zone maps prune, with pruning
+/// on or off.
+fn clustered(rows: usize, seed: u64, partitions: usize, pruning: bool) -> System {
+    let mut cfg = SystemConfig::paper(rows, seed);
+    cfg.partitions = partitions;
+    cfg.shape = TableShape::ClusteredShipdate { total_rows: rows };
+    cfg.pruning = pruning;
+    System::with_config(cfg)
+}
+
+#[test]
+fn warm_pruned_runs_leave_no_residue_for_any_following_machine() {
+    // A pruned run writes only its live regions' outputs and the reset
+    // zeroes only the last plan's footprint. Nested (10 and 30
+    // permille) and disjoint windows plus a Q6 plan compiled without
+    // pruning (it scans, and HIPE reads back, every region) run on one
+    // pruning session so that every (machine, query) point directly
+    // follows every other; each warm report must equal a cold run.
+    for partitions in [1, 4] {
+        let sys = clustered(2048, SEED, partitions, true);
+        let unpruned = clustered(2048, SEED, partitions, false);
+        let disjoint = Query::new(
+            vec![ColumnPredicate::new(
+                Column::Shipdate,
+                CmpOp::Range(2000, 2100),
+            )],
+            true,
+        );
+        let queries = [
+            Query::shipdate_window_permille(10),
+            Query::shipdate_window_permille(30).with_aggregate(),
+            disjoint,
+        ];
+        let mut plans = Vec::new();
+        for arch in Arch::ALL {
+            let backend = System::backend(arch);
+            for q in &queries {
+                let plan = backend.compile(&sys, q).expect("windows compile");
+                assert!(plan.prune_stats().pruned > 0, "{arch} [{q}] pruned nothing");
+                plans.push(plan);
+            }
+            let q6 = backend
+                .compile(&unpruned, &Query::q6())
+                .expect("Q6 compiles");
+            assert_eq!(q6.prune_stats().pruned, 0);
+            plans.push(q6);
+        }
+        let cold: Vec<RunReport> = plans.iter().map(|p| sys.session().run_plan(p)).collect();
+        let mut session = sys.session();
+        for (i, first) in plans.iter().enumerate() {
+            for (j, second) in plans.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                let what = |p: &hipe::ExecutablePlan| format!("{} [{}]", p.arch(), p.query());
+                let a = session.run_plan(first);
+                let b = session.run_plan(second);
+                assert_same_report(&a, &cold[i], &what(first));
+                assert_same_report(
+                    &b,
+                    &cold[j],
+                    &format!("{} after {}", what(second), what(first)),
+                );
+            }
+        }
+        // The public reset does not know the last writer: it zeroes the
+        // whole mask and aggregate area.
+        session.reset();
+        let base = sys.mask_base();
+        let area = session
+            .hmc()
+            .read_bytes(base, session.hmc().image_len() - base as usize);
+        assert!(area.iter().all(|&b| b == 0), "output area not zeroed");
+    }
+}
+
+#[test]
+#[should_panic(expected = "different table (seed, row offset, shape)")]
+fn pruned_plans_from_a_different_table_are_rejected() {
+    let mine = clustered(2048, 1, 1, true);
+    let other = clustered(2048, 2, 1, true);
+    let plan = System::backend(Arch::Hipe)
+        .compile(&mine, &Query::shipdate_window_permille(30))
+        .expect("window compiles");
+    assert!(plan.prune_stats().pruned > 0);
+    let _ = other.session().run_plan(&plan);
 }
