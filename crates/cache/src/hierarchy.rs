@@ -11,9 +11,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// Fibonacci-multiply hasher for line-address keys.
 ///
-/// The `pending` fill maps are probed up to three times per demand
-/// miss on the hot path; they are only ever accessed by key (never
-/// iterated), so a fast non-sip hash changes no observable behavior.
+/// The L1 and L2 pending-fill maps are probed on the hot path; they
+/// are only ever accessed by key (never iterated), so a fast non-sip
+/// hash changes no observable behavior.
 #[derive(Default)]
 struct LineHasher(u64);
 
@@ -71,9 +71,6 @@ struct Level {
     tags: SetArray,
     mshr: Window,
     latency: Cycle,
-    /// Lines with an in-flight fill (prefetch), keyed by line address,
-    /// valued with the cycle the data arrives.
-    pending: LineMap,
 }
 
 impl Level {
@@ -82,7 +79,6 @@ impl Level {
             tags: SetArray::new(cfg.sets(), cfg.ways),
             mshr: Window::new(cfg.mshrs),
             latency: cfg.latency,
-            pending: LineMap::default(),
         }
     }
 }
@@ -110,6 +106,12 @@ pub struct CacheHierarchy {
     l1: Level,
     l2: Level,
     l3: Level,
+    /// Lines with an in-flight prefetch fill into L1 (stride
+    /// prefetcher) or L2 (stream prefetcher), keyed by line address,
+    /// valued with the cycle the data arrives. Nothing prefetches into
+    /// L3 alone, so it has no such map.
+    l1_pending: LineMap,
+    l2_pending: LineMap,
     stride: StridePrefetcher,
     stream: StreamPrefetcher,
     stats: CacheStats,
@@ -129,6 +131,8 @@ impl CacheHierarchy {
             l1: Level::new(&cfg.l1),
             l2: Level::new(&cfg.l2),
             l3: Level::new(&cfg.l3),
+            l1_pending: LineMap::default(),
+            l2_pending: LineMap::default(),
             stride: StridePrefetcher::new(cfg.stride_degree),
             stream: StreamPrefetcher::new(cfg.stream_depth),
             stats: CacheStats::default(),
@@ -202,7 +206,7 @@ impl CacheHierarchy {
             return t1;
         }
         // In-flight prefetch into L1?
-        if let Some(ready) = self.l1.pending.remove(&line) {
+        if let Some(ready) = self.l1_pending.remove(&line) {
             self.stats.l1_hits += 1;
             self.stats.prefetch_hits += 1;
             self.fill(mem, 1, line, write, ready);
@@ -218,7 +222,7 @@ impl CacheHierarchy {
             self.l1.mshr.complete(t2);
             return t2;
         }
-        if let Some(ready) = self.l2.pending.remove(&line) {
+        if let Some(ready) = self.l2_pending.remove(&line) {
             self.stats.l2_hits += 1;
             self.stats.prefetch_hits += 1;
             let done = t2.max(ready);
@@ -239,15 +243,6 @@ impl CacheHierarchy {
             self.l2.mshr.complete(t3);
             self.l1.mshr.complete(t3);
             return t3;
-        }
-        if let Some(ready) = self.l3.pending.remove(&line) {
-            self.stats.l3_hits += 1;
-            self.stats.prefetch_hits += 1;
-            let done = t3.max(ready);
-            self.fill(mem, 2, line, write, done);
-            self.l2.mshr.complete(done);
-            self.l1.mshr.complete(done);
-            return done;
         }
         self.stats.l3_misses += 1;
         let adm3 = self.l3.mshr.admit(t3);
@@ -286,14 +281,14 @@ impl CacheHierarchy {
     }
 
     fn prefetch_into_l1(&mut self, mem: &mut Hmc, cycle: Cycle, line: u64) {
-        if self.l1.tags.contains(line) || self.l1.pending.contains_key(&line) {
+        if self.l1.tags.contains(line) || self.l1_pending.contains_key(&line) {
             return;
         }
         // A prefetch consumes an L1 MSHR and walks the lower levels.
         let adm1 = self.l1.mshr.admit(cycle + self.l1.latency);
         let ready = self.fetch_below_l1(mem, adm1, line);
         self.l1.mshr.complete(ready);
-        self.l1.pending.insert(line, ready);
+        self.l1_pending.insert(line, ready);
         self.stats.prefetches += 1;
     }
 
@@ -302,60 +297,47 @@ impl CacheHierarchy {
         if self.l2.tags.probe(line, false) {
             return t2;
         }
-        if let Some(&ready) = self.l2.pending.get(&line) {
+        if let Some(&ready) = self.l2_pending.get(&line) {
             return t2.max(ready);
         }
         let adm2 = self.l2.mshr.admit(t2);
         let t3 = adm2 + self.l3.latency;
-        let ready = if self.l3.tags.probe(line, false) {
-            t3
-        } else if let Some(&r) = self.l3.pending.get(&line) {
-            t3.max(r)
-        } else {
-            let adm3 = self.l3.mshr.admit(t3);
-            let done = mem
-                .access(adm3, line, LINE_BYTES, AccessKind::Read)
-                .complete;
-            self.l3.mshr.complete(done);
-            if let Some((victim, dirty)) = self.l3.tags.fill(line) {
-                if dirty {
-                    self.stats.writebacks += 1;
-                    mem.access(done, victim, LINE_BYTES, AccessKind::Write);
-                }
-            }
-            done
-        };
+        let ready = self.prefetch_from_l3(mem, t3, line);
         self.l2.mshr.complete(ready);
         ready
     }
 
     fn prefetch_into_l2(&mut self, mem: &mut Hmc, cycle: Cycle, line: u64) {
-        if self.l2.tags.contains(line) || self.l2.pending.contains_key(&line) {
+        if self.l2.tags.contains(line) || self.l2_pending.contains_key(&line) {
             return;
         }
         let adm2 = self.l2.mshr.admit(cycle + self.l2.latency);
         let t3 = adm2 + self.l3.latency;
-        let ready = if self.l3.tags.probe(line, false) {
-            t3
-        } else if let Some(&r) = self.l3.pending.get(&line) {
-            t3.max(r)
-        } else {
-            let adm3 = self.l3.mshr.admit(t3);
-            let done = mem
-                .access(adm3, line, LINE_BYTES, AccessKind::Read)
-                .complete;
-            self.l3.mshr.complete(done);
-            if let Some((victim, dirty)) = self.l3.tags.fill(line) {
-                if dirty {
-                    self.stats.writebacks += 1;
-                    mem.access(done, victim, LINE_BYTES, AccessKind::Write);
-                }
-            }
-            done
-        };
+        let ready = self.prefetch_from_l3(mem, t3, line);
         self.l2.mshr.complete(ready);
-        self.l2.pending.insert(line, ready);
+        self.l2_pending.insert(line, ready);
         self.stats.prefetches += 1;
+    }
+
+    /// A prefetch's L3 lookup at `t3`: an L3 hit is ready then; a miss
+    /// fetches the line from memory into L3 (writing back a dirty
+    /// victim). Returns the cycle the data is ready.
+    fn prefetch_from_l3(&mut self, mem: &mut Hmc, t3: Cycle, line: u64) -> Cycle {
+        if self.l3.tags.probe(line, false) {
+            return t3;
+        }
+        let adm3 = self.l3.mshr.admit(t3);
+        let done = mem
+            .access(adm3, line, LINE_BYTES, AccessKind::Read)
+            .complete;
+        self.l3.mshr.complete(done);
+        if let Some((victim, dirty)) = self.l3.tags.fill(line) {
+            if dirty {
+                self.stats.writebacks += 1;
+                mem.access(done, victim, LINE_BYTES, AccessKind::Write);
+            }
+        }
+        done
     }
 }
 

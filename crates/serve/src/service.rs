@@ -31,7 +31,7 @@ use hipe_db::{Query, SplitMix64};
 use hipe_sim::{Cycle, Freq, Samples, ServeOutcome, Server, Window};
 use hipe_trace::{TraceSink, TrackId, TrackKind};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// How queries arrive at the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,9 +192,8 @@ pub struct ServiceReport {
     pub latency: LatencySummary,
     /// Scatter-to-completion latency distribution of the individual
     /// per-shard sub-queries (queueing at the chosen replica included,
-    /// gather merge excluded). Each shard accumulates its own
-    /// [`Samples`]; the report folds them into one distribution with
-    /// [`Samples::merge`].
+    /// gather merge excluded), over one [`Samples`] set holding every
+    /// shard's sub-queries.
     pub subquery_latency: LatencySummary,
     /// Busy cycles per shard, summed over its replicas (for a
     /// single-replica cluster this is the per-cube busy of old).
@@ -392,15 +391,22 @@ struct Served {
 struct Replica {
     server: Server,
     fail_at: Option<Cycle>,
-    inflight: BinaryHeap<Reverse<Cycle>>,
+    /// Completions in the order the replica accepted them. The replica
+    /// is one FIFO [`Server`], so each start is at or after the
+    /// previous end and the completions never decrease: the queue is
+    /// sorted, and popping its front while `<= now` evicts exactly the
+    /// finished sub-queries.
+    inflight: VecDeque<Cycle>,
 }
 
 impl Replica {
-    fn new(fail_at: Option<Cycle>) -> Self {
+    /// `inflight` starts with room for `capacity` sub-queries, which
+    /// the admission window bounds.
+    fn new(fail_at: Option<Cycle>, capacity: usize) -> Self {
         Replica {
             server: Server::new(),
             fail_at,
-            inflight: BinaryHeap::new(),
+            inflight: VecDeque::with_capacity(capacity),
         }
     }
 
@@ -505,15 +511,23 @@ struct Scheduler<'a> {
     batch: Vec<Pending>,
     batch_cap: usize,
     latencies: Samples,
-    /// Scatter-to-completion sub-query latencies, one sample set per
-    /// shard (merged into the report's
+    /// Scatter-to-completion latencies of every shard's sub-queries
+    /// (the report's
     /// [`subquery_latency`](ServiceReport::subquery_latency)).
-    shard_latencies: Vec<Samples>,
+    subquery_latencies: Samples,
     makespan: Cycle,
     batching_delay: Cycle,
     redispatched: u64,
     /// Scratch arrival buffer for group admission.
     arrivals: Vec<Cycle>,
+    /// The last dispatched batch's completions, handed to the caller
+    /// by [`offer`](Self::offer) and [`dispatch`](Self::dispatch).
+    served: Vec<Served>,
+    /// Scratch per-replica state of the shard being routed, the
+    /// slices of its [`RouteCtx`].
+    alive: Vec<bool>,
+    next_free: Vec<Cycle>,
+    outstanding: Vec<u32>,
     /// Trace emission state (`None` = tracing off, the zero-cost
     /// default).
     trace: Option<SchedTrace<'a>>,
@@ -534,6 +548,9 @@ impl<'a> Scheduler<'a> {
             LoadModel::Open { .. } => cfg.batch,
             LoadModel::Closed { clients, .. } => cfg.batch.min(clients),
         };
+        // A sub-query is in flight only while its query is, and the
+        // window admits at most `max_in_flight` queries.
+        let inflight_cap = cfg.max_in_flight.min(cfg.queries);
         let replicas = (0..cluster.shards())
             .map(|s| {
                 (0..cluster.replicas())
@@ -543,7 +560,7 @@ impl<'a> Scheduler<'a> {
                             .iter()
                             .find(|f| f.shard == s && f.replica == r)
                             .map(|f| f.at_cycle);
-                        Replica::new(fault)
+                        Replica::new(fault, inflight_cap)
                     })
                     .collect()
             })
@@ -559,19 +576,23 @@ impl<'a> Scheduler<'a> {
             window: Window::new(cfg.max_in_flight),
             batch: Vec::with_capacity(batch_cap),
             batch_cap,
-            latencies: Samples::new(),
-            shard_latencies: vec![Samples::new(); cluster.shards()],
+            latencies: Samples::with_capacity(cfg.queries),
+            subquery_latencies: Samples::with_capacity(cfg.queries * cluster.shards()),
             makespan: 0,
             batching_delay: 0,
             redispatched: 0,
             arrivals: Vec::with_capacity(batch_cap),
+            served: Vec::with_capacity(batch_cap),
+            alive: Vec::with_capacity(cluster.replicas()),
+            next_free: Vec::with_capacity(cluster.replicas()),
+            outstanding: Vec::with_capacity(cluster.replicas()),
             trace,
         }
     }
 
     /// Offers one arrival; returns the batch's completions when this
-    /// arrival fills it.
-    fn offer(&mut self, tag: usize, query: usize, arrival: Cycle) -> Vec<Served> {
+    /// arrival fills it (an empty slice otherwise).
+    fn offer(&mut self, tag: usize, query: usize, arrival: Cycle) -> &[Served] {
         self.batch.push(Pending {
             tag,
             query,
@@ -590,15 +611,16 @@ impl<'a> Scheduler<'a> {
         if self.batch.len() >= self.batch_cap {
             self.dispatch()
         } else {
-            Vec::new()
+            &[]
         }
     }
 
     /// Dispatches whatever the current batch holds (possibly short,
-    /// at end of stream).
-    fn dispatch(&mut self) -> Vec<Served> {
+    /// at end of stream) and returns its completions.
+    fn dispatch(&mut self) -> &[Served] {
+        self.served.clear();
         if self.batch.is_empty() {
-            return Vec::new();
+            return &self.served;
         }
         // The batch leaves the front end once its last member has
         // arrived and the window holds a free slot for *every*
@@ -648,17 +670,17 @@ impl<'a> Scheduler<'a> {
         // zone-map-skippable for this query are never scattered to —
         // they add no occupancy and no merge share. A query every
         // shard skips completes at the front end with zero merge.
-        let mut served = Vec::with_capacity(self.batch.len());
-        for p in std::mem::take(&mut self.batch) {
-            let answering: Vec<usize> = (0..self.replicas.len())
-                .filter(|&s| !self.skipped[p.query][s])
-                .collect();
-            let merge = (answering.len().max(1) as Cycle - 1) * MERGE_CYCLES_PER_SHARD;
-            let slowest = answering
-                .iter()
-                .map(|&s| self.route_and_serve(p.tag, p.query, s, scattered))
-                .max()
-                .unwrap_or(scattered);
+        for i in 0..self.batch.len() {
+            let p = self.batch[i];
+            let mut answering = 0usize;
+            let mut slowest = scattered;
+            for s in 0..self.replicas.len() {
+                if !self.skipped[p.query][s] {
+                    answering += 1;
+                    slowest = slowest.max(self.route_and_serve(p.tag, p.query, s, scattered));
+                }
+            }
+            let merge = (answering.max(1) as Cycle - 1) * MERGE_CYCLES_PER_SHARD;
             let completion = slowest + merge;
             self.window.complete(completion);
             self.latencies.push(completion - p.arrival);
@@ -680,16 +702,17 @@ impl<'a> Scheduler<'a> {
                     vec![
                         ("tag", p.tag.into()),
                         ("mix", p.query.into()),
-                        ("shards", answering.len().into()),
+                        ("shards", answering.into()),
                     ],
                 );
             }
-            served.push(Served {
+            self.served.push(Served {
                 tag: p.tag,
                 completion,
             });
         }
-        served
+        self.batch.clear();
+        &self.served
     }
 
     /// Routes one sub-query to a replica of `shard` at dispatch cycle
@@ -698,36 +721,30 @@ impl<'a> Scheduler<'a> {
     /// completion cycle.
     fn route_and_serve(&mut self, tag: usize, query: usize, shard: usize, mut at: Cycle) -> Cycle {
         let dispatched = at;
-        // Scratch per-replica state for the router's context.
-        let mut alive = Vec::with_capacity(self.replicas[shard].len());
-        let mut next_free = Vec::with_capacity(alive.capacity());
-        let mut outstanding = Vec::with_capacity(alive.capacity());
         loop {
-            alive.clear();
-            next_free.clear();
-            outstanding.clear();
+            self.alive.clear();
+            self.next_free.clear();
+            self.outstanding.clear();
             for replica in self.replicas[shard].iter_mut() {
-                while let Some(&Reverse(done)) = replica.inflight.peek() {
-                    if done > at {
-                        break;
-                    }
-                    replica.inflight.pop();
+                while replica.inflight.front().is_some_and(|&done| done <= at) {
+                    replica.inflight.pop_front();
                 }
-                alive.push(replica.believed_alive(at, self.cfg.fault_detect));
-                next_free.push(replica.server.next_free());
-                outstanding.push(replica.inflight.len() as u32);
+                self.alive
+                    .push(replica.believed_alive(at, self.cfg.fault_detect));
+                self.next_free.push(replica.server.next_free());
+                self.outstanding.push(replica.inflight.len() as u32);
             }
             let ctx = RouteCtx {
                 now: at,
                 query,
-                alive: &alive,
-                next_free: &next_free,
-                outstanding: &outstanding,
+                alive: &self.alive,
+                next_free: &self.next_free,
+                outstanding: &self.outstanding,
                 durations: &self.durations[query][shard],
             };
             let r = self.router.pick(shard, &ctx);
             assert!(
-                alive[r],
+                self.alive[r],
                 "router picked replica {r} of shard {shard}, known dead since \
                  cycle {:?}",
                 self.replicas[shard][r].fail_at
@@ -754,8 +771,13 @@ impl<'a> Scheduler<'a> {
             };
             match served {
                 Some((start, end)) => {
-                    self.replicas[shard][r].inflight.push(Reverse(end));
-                    self.shard_latencies[shard].push(end - dispatched);
+                    let inflight = &mut self.replicas[shard][r].inflight;
+                    debug_assert!(
+                        inflight.back().is_none_or(|&last| last <= end),
+                        "replica completions must not decrease"
+                    );
+                    inflight.push_back(end);
+                    self.subquery_latencies.push(end - dispatched);
                     if let Some(t) = &mut self.trace {
                         let track = t.replica_tracks[shard][r];
                         t.sink.span_on(
@@ -968,13 +990,7 @@ pub fn run_service_traced(
     }
 
     let latency = LatencySummary::of(&mut sched.latencies);
-    let subquery_latency = {
-        let mut merged = Samples::new();
-        for shard in &sched.shard_latencies {
-            merged.merge(shard);
-        }
-        LatencySummary::of(&mut merged)
-    };
+    let subquery_latency = LatencySummary::of(&mut sched.subquery_latencies);
     let replica_busy: Vec<Vec<Cycle>> = sched
         .replicas
         .iter()

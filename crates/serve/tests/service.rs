@@ -378,3 +378,52 @@ fn zero_weight_mix_panics() {
     let cfg = ServiceConfig::closed(Arch::Hipe, 4, vec![(Query::q6(), 0)], 1);
     let _ = run_service(&cluster, &cfg);
 }
+
+/// FNV-1a digest of a report's full `Debug` rendering: every field,
+/// latency summaries and per-replica busy cycles included.
+fn debug_digest(report: &hipe_serve::ServiceReport) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn pinned_service_reports_are_unchanged() {
+    // 2,000 queries through a 4x2 HIPE cluster from 8 closed-loop
+    // clients, clean and with replica 0 of shard 1 killed at half the
+    // clean makespan, plus an open-loop run of the same size. The
+    // digests pin every simulated number of the three reports, so a
+    // scheduler rewrite that moves any cycle, latency or busy count
+    // fails here.
+    let cluster = Cluster::replicated(4096, SEED, 4, 2);
+    let clean = run_service(&cluster, &closed(2_000, 8));
+    let faulted = run_service(
+        &cluster,
+        &ServiceConfig {
+            faults: vec![hipe_serve::FaultPlan::new(1, 0, clean.makespan / 2)],
+            ..closed(2_000, 8)
+        },
+    );
+    let open = run_service(
+        &cluster,
+        &ServiceConfig::open(Arch::Hipe, 2_000, mix(), 2_000),
+    );
+    assert_eq!(faulted.failovers, 1);
+    assert!(faulted.redispatched > 0);
+    let digests = [
+        debug_digest(&clean),
+        debug_digest(&faulted),
+        debug_digest(&open),
+    ];
+    assert_eq!(
+        digests,
+        [
+            0xecfd_5f12_f9cc_c2c1,
+            0x69d3_f44c_97c3_f899,
+            0xf93c_1968_0ace_d2fd
+        ],
+        "{digests:#x?}"
+    );
+}

@@ -11,6 +11,12 @@ use crate::time::Cycle;
 /// rank `ceil(p/100 * n)` (1-based), so p100 is the maximum and every
 /// returned value is an actually observed sample.
 ///
+/// The set is never sorted. Each percentile query is one O(n)
+/// selection of its rank (Hoare's FIND, CACM 1961, via
+/// [`slice::select_nth_unstable`]), which returns the same element a
+/// sort would put at that rank. A selection only permutes the stored
+/// values, so pushes and percentile queries may interleave freely.
+///
 /// # Example
 ///
 /// ```
@@ -23,7 +29,6 @@ use crate::time::Cycle;
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
     values: Vec<Cycle>,
-    sorted: bool,
 }
 
 impl Samples {
@@ -32,10 +37,17 @@ impl Samples {
         Samples::default()
     }
 
+    /// Creates an empty sample set with room for `n` samples, so the
+    /// first `n` pushes never reallocate.
+    pub fn with_capacity(n: usize) -> Self {
+        Samples {
+            values: Vec::with_capacity(n),
+        }
+    }
+
     /// Observes one sample.
     pub fn push(&mut self, v: Cycle) {
         self.values.push(v);
-        self.sorted = false;
     }
 
     /// Number of samples observed.
@@ -57,7 +69,13 @@ impl Samples {
         self.values.iter().copied().max()
     }
 
-    /// The nearest-rank `p`-th percentile (`None` when empty).
+    /// The nearest-rank `p`-th percentile (`None` when empty), found by
+    /// one O(n) selection.
+    ///
+    /// `p` is taken to the nearest millionth of a percent and the rank
+    /// `ceil(p * n / 100)` is computed in integers, so no boundary
+    /// overshoots by one the way an `f64` product can (at p99.9,
+    /// `99.9 * 41_000.0 / 100.0` rounds just above 40,959).
     ///
     /// # Panics
     ///
@@ -67,18 +85,14 @@ impl Samples {
         if self.values.is_empty() {
             return None;
         }
-        if !self.sorted {
-            self.values.sort_unstable();
-            self.sorted = true;
-        }
         // Nearest rank: ceil(p/100 * n), clamped to [1, n] so p = 0
-        // yields the minimum rather than an invalid rank of zero.
-        // Multiply before dividing: rounding p/100.0 first can push an
-        // exact boundary (p = 7, n = 100) just above its integer rank,
-        // and ceil would then overshoot by one.
+        // yields the minimum rather than an invalid rank of zero. With
+        // p in millionths of a percent the divisor is 100 * 10^6.
+        const SCALE: u128 = 100_000_000;
         let n = self.values.len();
-        let rank = ((p * n as f64 / 100.0).ceil() as usize).clamp(1, n);
-        Some(self.values[rank - 1])
+        let micro = (p * 1e6).round() as u128;
+        let rank = (micro * n as u128).div_ceil(SCALE).clamp(1, n as u128) as usize;
+        Some(*self.values.select_nth_unstable(rank - 1).1)
     }
 
     /// Median (50th percentile).
@@ -99,18 +113,6 @@ impl Samples {
     /// 99.9th percentile.
     pub fn p999(&mut self) -> Option<Cycle> {
         self.percentile(99.9)
-    }
-
-    /// Absorbs every sample of `other`, leaving it untouched — the
-    /// cross-shard latency merge: each shard accumulates its own
-    /// `Samples`, and the service folds them into one distribution
-    /// before taking percentiles.
-    pub fn merge(&mut self, other: &Samples) {
-        if other.values.is_empty() {
-            return;
-        }
-        self.values.extend_from_slice(&other.values);
-        self.sorted = false;
     }
 }
 
@@ -196,8 +198,7 @@ mod tests {
         // n = 1001: rank ceil(99.9 * 1001 / 100) = ceil(999.999) = 1000.
         s.push(1001);
         assert_eq!(s.p999(), Some(1000));
-        // n = 2000: rank ceil(1998.0) = 1998 — exact boundary, no
-        // overshoot from the multiply-before-divide order.
+        // n = 2000: rank ceil(1998.0) = 1998 — an exact boundary.
         let mut s = Samples::new();
         for v in 1..=2000 {
             s.push(v);
@@ -211,57 +212,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_concatenation() {
-        let mut a = Samples::new();
-        let mut b = Samples::new();
-        let mut all = Samples::new();
-        for v in [50, 10, 40] {
-            a.push(v);
-            all.push(v);
-        }
-        for v in [30, 20, 60] {
-            b.push(v);
-            all.push(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.mean(), all.mean());
-        assert_eq!(a.max(), all.max());
-        for p in [0.0, 25.0, 50.0, 75.0, 99.0, 99.9, 100.0] {
-            assert_eq!(a.percentile(p), all.percentile(p), "p{p}");
-        }
-        // The source is untouched, and merging it again double-counts.
-        assert_eq!(b.count(), 3);
-        a.merge(&b);
-        assert_eq!(a.count(), 9);
-    }
-
-    #[test]
-    fn merge_empty_and_into_sorted() {
-        let mut a = Samples::new();
-        a.push(3);
-        a.push(1);
-        assert_eq!(a.p50(), Some(1)); // forces the lazy sort
-        let empty = Samples::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 2);
-        let mut b = Samples::new();
-        b.push(2);
-        a.merge(&b); // must invalidate the sorted flag
-        assert_eq!(a.p50(), Some(2));
-        let mut c = Samples::new();
-        c.merge(&a);
-        assert_eq!(c.count(), 3);
-    }
-
-    #[test]
     fn samples_track_mean_max_and_interleave_pushes() {
         let mut s = Samples::new();
         for v in [100, 300] {
             s.push(v);
         }
         assert_eq!(s.p50(), Some(100));
-        // Pushing after a percentile query re-sorts lazily.
+        // Pushing after a percentile query selects over the new set.
         s.push(200);
         assert_eq!(s.p50(), Some(200));
         assert_eq!(s.mean(), 200.0);
@@ -299,6 +256,72 @@ mod tests {
         }
         for p in 1..=100u64 {
             assert_eq!(s.percentile(p as f64), Some(p), "p{p}");
+        }
+    }
+
+    #[test]
+    fn p999_rank_does_not_overshoot_where_f64_rounds_up() {
+        // 99.9 * n / 100.0 in f64 lands just above the integer rank at
+        // n = 41,000 (40959.00000000001) and n = 82,000, and ceil then
+        // picked one rank too many. The integer rank is exact.
+        for (n, rank) in [(41_000u64, 40_959), (82_000, 81_918)] {
+            let mut s = Samples::with_capacity(n as usize);
+            for v in (1..=n).rev() {
+                s.push(v);
+            }
+            assert_eq!(s.p999(), Some(rank), "n = {n}");
+        }
+    }
+
+    /// The nearest-rank reference: sort a copy and index it.
+    fn sorted_rank(values: &[Cycle], p: f64) -> Option<Cycle> {
+        if values.is_empty() {
+            return None;
+        }
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
+        let n = sorted.len() as u128;
+        // p is an integer or a tenth here, so ceil(10p * n / 1000) is
+        // exact.
+        let tenths = (p * 10.0).round() as u128;
+        let rank = (tenths * n).div_ceil(1000).clamp(1, n) as usize;
+        Some(sorted[rank - 1])
+    }
+
+    #[test]
+    fn selection_matches_a_sorted_reference() {
+        // Seeded property test: for each size, push the samples in
+        // chunks and query every percentile between chunks, so
+        // selections run over sets earlier selections have permuted.
+        // Values come from a small range, so duplicates abound.
+        const PS: [f64; 7] = [0.0, 7.0, 50.0, 95.0, 99.0, 99.9, 100.0];
+        let mut x = 0x5EED_u64;
+        for n in [1usize, 2, 7, 100, 1000, 41_000] {
+            for range in [3u64, 1 << 20] {
+                let mut s = Samples::new();
+                let mut pushed = Vec::with_capacity(n);
+                let chunk = (n / 3).max(1);
+                while pushed.len() < n {
+                    for _ in 0..chunk.min(n - pushed.len()) {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let v = (x >> 33) % range;
+                        s.push(v);
+                        pushed.push(v);
+                    }
+                    for p in PS {
+                        assert_eq!(
+                            s.percentile(p),
+                            sorted_rank(&pushed, p),
+                            "n = {}, range {range}, p{p}",
+                            pushed.len()
+                        );
+                    }
+                }
+                assert_eq!(s.count(), n as u64);
+                assert_eq!(s.max(), pushed.iter().copied().max());
+            }
         }
     }
 
