@@ -5,7 +5,7 @@
 //! through the cache hierarchy; HMC-ISA dispatches cross the links and
 //! run in the vault functional units.
 
-use crate::backend::{ExecutablePlan, PlanCode};
+use crate::backend::ExecutablePlan;
 use crate::gather;
 use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
 use crate::session::Session;
@@ -13,7 +13,7 @@ use hipe_cache::CacheHierarchy;
 use hipe_cpu::{Core, MemoryPort};
 use hipe_db::{Bitmask, DsmLayout, Query, REGION_ROWS};
 use hipe_hmc::{AccessKind, Hmc};
-use hipe_isa::{MicroOpKind, OpSize, VaultOp};
+use hipe_isa::{MicroOp, MicroOpKind, OpSize, VaultOp};
 use hipe_sim::Cycle;
 use std::ops::Range;
 
@@ -90,13 +90,16 @@ fn match_bits(hmc: &Hmc, layout: &DsmLayout, query: &Query, start: usize, end: u
         })
 }
 
-/// Executes a compiled micro-op plan (x86 baseline or HMC-ISA) against
-/// the session's warm image.
-pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
+/// Executes a compiled micro-op plan (x86 baseline or HMC-ISA) — its
+/// micro-op stream `ops` over the region runs `live` — against the
+/// session's warm image.
+pub(crate) fn execute(
+    session: &mut Session<'_>,
+    plan: &ExecutablePlan,
+    ops: &[MicroOp],
+    live: &[Range<usize>],
+) -> RunReport {
     let sys = session.system();
-    let PlanCode::Micro { ops, live } = plan.code() else {
-        unreachable!("the host executor requires a micro-op plan");
-    };
     let query = plan.query();
     let mut caches = CacheHierarchy::new(sys.config().hierarchy);
     let mut core = Core::new(sys.config().core);
@@ -244,19 +247,17 @@ mod tests {
         // pay a packet-header round trip per two rows, so the links see
         // more traffic than even the streaming baseline; widening the
         // operand to a full row buffer amortizes the headers away.
-        use crate::backend::{Backend, HmcIsaBackend};
-        use hipe_isa::OpSize;
+        use crate::backend::Backend;
 
         let sys = System::new(4096, 5);
         let q = Query::quantity_below_permille(100);
         let stock = run(&sys, Arch::HmcIsa, &q);
-        let wide_backend = HmcIsaBackend {
+        let plan = Backend::HmcIsa {
             op_size: OpSize::MAX,
-        };
-        let plan = wide_backend.compile(&sys, &q).expect("scan compiles");
-        let mut session = sys.session();
-        session.reset();
-        let wide = wide_backend.execute(&mut session, &plan);
+        }
+        .compile(&sys, &q)
+        .expect("scan compiles");
+        let wide = sys.session().run_plan(&plan);
         assert_eq!(stock.result, wide.result);
         assert!(wide.hmc.link_bytes < stock.hmc.link_bytes / 4);
         assert!(wide.cycles < stock.cycles);

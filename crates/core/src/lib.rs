@@ -24,11 +24,12 @@
 //!
 //! # Compile → session → execute
 //!
-//! Execution is split into three stages behind the open [`Backend`]
-//! abstraction:
+//! Execution is split into three stages around the closed [`Backend`]
+//! enum, one variant per machine:
 //!
-//! 1. [`System::backend`] resolves an [`Arch`] label to its stateless
-//!    [`Backend`];
+//! 1. [`System::backend`] resolves an [`Arch`] label to its stock
+//!    [`Backend`]; build a variant directly to set its knob (the
+//!    HMC-ISA operand size, or the host-gather path on HIVE/HIPE);
 //! 2. [`Backend::compile`] lowers a query into an [`ExecutablePlan`]
 //!    (once per query, reusable); invalid inputs surface as a typed
 //!    [`CompileError`] instead of a panic. On HIVE/HIPE, aggregate
@@ -38,7 +39,9 @@
 //!    gathering every matched tuple over the links (the path the
 //!    host-driven machines keep);
 //! 3. a [`Session`] — opened with [`System::session`] — owns one warm,
-//!    materialized cube image and executes plans against it, applying
+//!    materialized cube image and executes plans against it
+//!    ([`Session::run_plan`] hands a micro-op plan to the host
+//!    executor and a logic-layer plan to the near-data one), applying
 //!    a reset protocol between runs so warm results are bit- and
 //!    cycle-identical to cold ones.
 //!
@@ -90,9 +93,7 @@ mod report;
 mod session;
 mod system;
 
-pub use backend::{
-    Backend, ExecutablePlan, HipeBackend, HiveBackend, HmcIsaBackend, HostX86Backend,
-};
+pub use backend::{Backend, ExecutablePlan};
 pub use hipe_compiler::CompileError;
 pub use hipe_db::{PruneStats, TableShape, ZoneMap};
 pub use report::{Arch, PartitionPhase, PhaseBreakdown, RunReport, TraceCtx};

@@ -15,10 +15,15 @@
 //! Aggregate queries run *fused* by default: the compiled programs'
 //! per-region tails multiply and reduce the matched values inside the
 //! logic layer, and the host only reads back the compact partial sums
-//! (timed as the `gather_aggregate` phase). Plans compiled with
-//! `fused_aggregate: false` keep the per-tuple host gather instead.
+//! (timed as the `gather_aggregate` phase). Plans compiled by
+//! [`Backend::Hive`](crate::Backend::Hive) or
+//! [`Backend::Hipe`](crate::Backend::Hipe) with `fused_aggregate:
+//! false` keep the per-tuple host gather instead.
+//!
+//! [`Session::run_plan`](crate::Session::run_plan) calls [`execute`]
+//! with the logic payload of HIVE and HIPE plans only.
 
-use crate::backend::{ExecutablePlan, PlanCode};
+use crate::backend::ExecutablePlan;
 use crate::gather;
 use crate::report::{PartitionPhase, PhaseBreakdown, RunReport};
 use crate::session::Session;
@@ -36,12 +41,12 @@ use hipe_sim::Cycle;
 /// on top when the dispatch packet is sized.
 const INSTR_FLIT_BYTES: u64 = 16;
 
-/// Memory port of the HIVE/HIPE architectures: `logic_dispatch`
+/// Memory port of the HIVE/HIPE scan phase: `logic_dispatch`
 /// forwards the next scheduled instruction over the request link into
 /// its partition's co-simulated engine; `logic_wait` blocks on the
-/// last outstanding unlock acknowledgement. Demand reads/writes bypass
-/// the caches (the scan kernel itself never issues them; they exist so
-/// diagnostics and future mixed kernels have an uncached path).
+/// last outstanding unlock acknowledgement. The scan issues nothing
+/// else, so the demand and HMC-ISA hooks are unreachable (the gather
+/// phase reads back over [`gather::UncachedPort`]).
 struct ClusterPort<'a> {
     hmc: &'a mut Hmc,
     cluster: &'a mut EngineCluster,
@@ -59,34 +64,23 @@ struct ClusterPort<'a> {
 }
 
 impl MemoryPort for ClusterPort<'_> {
-    fn read(&mut self, cycle: Cycle, addr: u64, bytes: u64) -> Cycle {
-        self.hmc
-            .access(cycle, addr, bytes, hipe_hmc::AccessKind::Read)
-            .complete
+    fn read(&mut self, _cycle: Cycle, _addr: u64, _bytes: u64) -> Cycle {
+        unreachable!("the logic-layer scan issues no demand reads")
     }
 
-    fn write(&mut self, cycle: Cycle, addr: u64, bytes: u64) -> Cycle {
-        self.hmc
-            .access(cycle, addr, bytes, hipe_hmc::AccessKind::Write)
-            .complete
+    fn write(&mut self, _cycle: Cycle, _addr: u64, _bytes: u64) -> Cycle {
+        unreachable!("the logic-layer scan issues no demand writes")
     }
 
     fn hmc_dispatch(
         &mut self,
-        cycle: Cycle,
-        addr: u64,
-        size: OpSize,
+        _cycle: Cycle,
+        _addr: u64,
+        _size: OpSize,
         _op: VaultOp,
-        result_bytes: u64,
+        _result_bytes: u64,
     ) -> Cycle {
-        self.hmc
-            .access(
-                cycle,
-                addr,
-                size.bytes(),
-                hipe_hmc::AccessKind::PimOp { result_bytes },
-            )
-            .complete
+        unreachable!("the logic-layer scan issues no HMC-ISA dispatches")
     }
 
     fn logic_dispatch(&mut self, cycle: Cycle) -> Cycle {
@@ -137,19 +131,18 @@ fn dispatch_schedule(program: &LogicScanProgram) -> Vec<usize> {
     schedule
 }
 
-/// Executes a compiled logic-layer plan (HIVE or HIPE) against the
-/// session's warm image.
-pub(crate) fn execute(session: &mut Session<'_>, plan: &ExecutablePlan) -> RunReport {
+/// Executes a compiled logic-layer plan (HIVE or HIPE, as `predicated`
+/// says) — its per-partition `program` — against the session's warm
+/// image.
+pub(crate) fn execute(
+    session: &mut Session<'_>,
+    plan: &ExecutablePlan,
+    program: &LogicScanProgram,
+    predicated: bool,
+) -> RunReport {
     let sys = session.system();
-    let PlanCode::Logic {
-        program,
-        predicated,
-    } = plan.code()
-    else {
-        unreachable!("the near-data executor requires a logic-layer plan");
-    };
     let query = plan.query();
-    let logic_cfg = if *predicated {
+    let logic_cfg = if predicated {
         sys.config().hipe
     } else {
         sys.config().hive
@@ -296,6 +289,7 @@ fn read_mask(hmc: &Hmc, program: &LogicScanProgram, rows: usize) -> Bitmask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::PlanCode;
     use crate::report::Arch;
     use crate::system::System;
     use hipe_db::{scan, Query};

@@ -12,11 +12,9 @@ use hipe_trace::{TraceSink, TrackId};
 
 /// The simulated architectures.
 ///
-/// `Arch` is a thin label: each variant resolves to a stateless
-/// [`Backend`](crate::Backend) via
-/// [`System::backend`](crate::System::backend), which owns the actual
-/// compile and execute logic. Adding a machine means adding a variant
-/// and a backend — nothing else in the driver changes.
+/// `Arch` is a thin label: [`System::backend`](crate::System::backend)
+/// resolves each variant to its stock [`Backend`](crate::Backend),
+/// the machine with its knob set, which compiles plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Arch {
     /// x86/AVX baseline: everything in the core, data through the

@@ -1,9 +1,9 @@
 //! Warm execution sessions: one materialized cube image, many runs.
 
-use crate::backend::ExecutablePlan;
-use crate::host;
+use crate::backend::{ExecutablePlan, PlanCode};
 use crate::report::{Arch, RunReport};
 use crate::system::System;
+use crate::{host, neardata};
 use hipe_db::{Query, REGION_BYTES};
 use hipe_hmc::Hmc;
 use std::collections::HashMap;
@@ -71,10 +71,9 @@ impl PlanCache {
 /// footprint, so the image before each run is the cold image, and a
 /// warm run is bit- and cycle-identical to a cold [`System::run`] (the
 /// integration tests assert this). The reset costs what the last run
-/// scanned, not what the table holds. When the last writer is unknown
-/// — a fresh or rematerialized session, or a call to
-/// [`reset`](Self::reset) — the whole mask and aggregate area is
-/// zeroed instead.
+/// scanned, not what the table holds. Materialization leaves the whole
+/// mask and aggregate area zeroed, so a fresh or rematerialized
+/// session starts with an empty footprint.
 ///
 /// This is the execution half of the compile → session → execute
 /// split: plans compiled by a [`Backend`](crate::Backend) can be
@@ -107,9 +106,10 @@ pub struct Session<'a> {
     /// [`PlanCache`]. `None` for standalone sessions.
     shared: Option<Arc<PlanCache>>,
     /// Live region runs of the last plan [`run_plan`](Self::run_plan)
-    /// executed — the output footprint the next reset zeroes. `None`
-    /// when the last writer is unknown: the whole output area.
-    written: Option<Vec<Range<usize>>>,
+    /// executed — the output footprint the next reset zeroes. Empty
+    /// when the output area is known to be all zero (after
+    /// materialization or [`reset`](Self::reset)).
+    written: Vec<Range<usize>>,
 }
 
 // Compile-time guard for host-parallel co-simulation: a `System` must
@@ -149,7 +149,7 @@ impl<'a> Session<'a> {
             hmc: sys.fresh_hmc(),
             plans: HashMap::new(),
             shared,
-            written: None,
+            written: Vec::new(),
         }
     }
 
@@ -168,46 +168,38 @@ impl<'a> Session<'a> {
         &mut self.hmc
     }
 
-    /// Applies the reset protocol for a caller that drives a
-    /// [`Backend`](crate::Backend) by hand: zeroes the whole mask and
-    /// aggregate output area — the writer of the last run is unknown
-    /// here — and rebuilds the cube's run-scoped timing/stat/energy
-    /// state, leaving the table image untouched.
+    /// Zeroes the whole mask and aggregate output area and rebuilds
+    /// the cube's run-scoped timing/stat/energy state, leaving the
+    /// table image untouched.
     ///
     /// [`run`](Self::run), [`run_plan`](Self::run_plan) and
     /// [`run_all`](Self::run_all) reset before every execution
     /// themselves, zeroing only the footprint of the plan they ran
     /// last.
     pub fn reset(&mut self) {
-        self.written = None;
-        self.clear_outputs();
+        let mask_base = self.sys.layout().mask_base();
+        let len = self.hmc.image_len() - mask_base as usize;
+        self.hmc.zero_bytes(mask_base, len);
+        self.written.clear();
+        self.hmc.reset_run_state();
     }
 
-    /// Zeroes the recorded output footprint (the whole output area
-    /// when none is recorded), forgets it, and rebuilds the cube's
-    /// run-scoped state.
+    /// Zeroes and forgets the recorded output footprint, zeroes the
+    /// aggregate area, then rebuilds the cube's run-scoped state.
     fn clear_outputs(&mut self) {
         let layout = self.sys.layout();
         let mask_base = layout.mask_base();
-        match self.written.take() {
-            None => {
-                let len = self.hmc.image_len() - mask_base as usize;
-                self.hmc.zero_bytes(mask_base, len);
-            }
-            Some(runs) => {
-                for run in &runs {
-                    // The logic machines' 256 B region masks...
-                    let masks = run.len() * REGION_BYTES as usize;
-                    self.hmc.zero_bytes(layout.mask_addr(run.start), masks);
-                    // ...and the host machines' packed 8 B words.
-                    let words = host::packed_words(run);
-                    self.hmc
-                        .zero_bytes(mask_base + words.start as u64 * 8, words.len() * 8);
-                }
-                self.hmc
-                    .zero_bytes(layout.agg_base(), layout.agg_area_bytes() as usize);
-            }
+        for run in self.written.drain(..) {
+            // The logic machines' 256 B region masks...
+            let masks = run.len() * REGION_BYTES as usize;
+            self.hmc.zero_bytes(layout.mask_addr(run.start), masks);
+            // ...and the host machines' packed 8 B words.
+            let words = host::packed_words(&run);
+            self.hmc
+                .zero_bytes(mask_base + words.start as u64 * 8, words.len() * 8);
         }
+        self.hmc
+            .zero_bytes(layout.agg_base(), layout.agg_area_bytes() as usize);
         self.hmc.reset_run_state();
     }
 
@@ -221,7 +213,7 @@ impl<'a> Session<'a> {
     ///
     /// A live [`System`] always has at least one row, so the only
     /// compile error that can occur here is a statically unsatisfiable
-    /// predicate. Driving a [`Backend`](crate::Backend) by hand
+    /// predicate. Compiling with [`Backend::compile`](crate::Backend::compile)
     /// exposes it as a typed [`CompileError`](crate::CompileError).
     ///
     /// # Panics
@@ -282,10 +274,12 @@ impl<'a> Session<'a> {
     /// one [`System::materializations`].
     pub fn rematerialize(&mut self) {
         self.sys.rematerialize_into(&mut self.hmc);
-        self.written = None;
+        self.written.clear();
     }
 
-    /// Executes an already-compiled plan against the warm image.
+    /// Executes an already-compiled plan against the warm image: a
+    /// micro-op plan (x86, HMC-ISA) on the host executor, a
+    /// logic-layer plan (HIVE, HIPE) on the near-data one.
     ///
     /// # Panics
     ///
@@ -315,8 +309,14 @@ impl<'a> Session<'a> {
             );
         }
         self.clear_outputs();
-        self.written = Some(plan.live_regions().to_vec());
-        System::backend(plan.arch()).execute(self, plan)
+        self.written.extend_from_slice(plan.live_regions());
+        match plan.code() {
+            PlanCode::Micro { ops, live } => host::execute(self, plan, ops, live),
+            PlanCode::Logic {
+                program,
+                predicated,
+            } => neardata::execute(self, plan, program, *predicated),
+        }
     }
 
     /// Runs a batch of queries on `arch`, reusing the single warm

@@ -15,7 +15,9 @@ use hipe_sim::Cycle;
 ///   read-operate instruction to a vault functional unit.
 /// * **HIVE/HIPE** — `logic_dispatch` posts instructions to the
 ///   logic-layer engine, `logic_wait` blocks on its unlock
-///   acknowledgement; bitmask reads still use the cache path.
+///   acknowledgement. The bitmask is read back from the cube image
+///   functionally (untimed); the aggregate readback reads over the
+///   links uncached.
 pub trait MemoryPort {
     /// A demand read of `bytes` at `addr`; returns the data-ready cycle.
     fn read(&mut self, cycle: Cycle, addr: u64, bytes: u64) -> Cycle;

@@ -19,18 +19,6 @@ pub enum VaultOp {
         /// Inclusive upper bound.
         hi: i64,
     },
-    /// Lane-wise AND of memory with the mask in the request, returning
-    /// the combined mask (used to fold a previous bitmask into a new
-    /// compare result in memory).
-    LoadAnd,
-    /// Read-modify-write add of an immediate (stock HMC-style update,
-    /// used by extension workloads).
-    ///
-    /// Row-store tuple conjunctions stay a logic-layer operation
-    /// ([`crate::AluOp::TupleMatch`]): carrying their fat field-range
-    /// payload here would quadruple the size of *every* [`MicroOp`] in
-    /// the multi-million-entry host plans.
-    AddImm(i64),
 }
 
 /// The kind of a micro-operation.

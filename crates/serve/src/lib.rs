@@ -16,16 +16,17 @@
 //! the RNG stream to the shard's offset, and the same seed makes
 //! replicas bit-identical *by construction*), lays them out in its
 //! own cube image with its own `DsmLayout`, and can itself be
-//! partitioned across vault-group engines (the PR 4 knob). Queries
-//! *scatter-gather*, with a [`Router`] picking one replica per shard:
+//! partitioned across vault-group engines
+//! (`SystemConfig::partitions`). Queries *scatter-gather*, with the
+//! [`RoutingPolicy`] picking one replica per shard:
 //!
 //! ```text
-//!            query ──► Cluster ──scatter──► shard 0 ─Router─► replica 0 │ replica 1 │ …
-//!                         │      ├────────► shard 1 ─Router─► replica 0 │ replica 1 │ …
-//!                         │      └────────► shard N-1 ───────► …         (rows split
-//!                         ▼                                               per shard,
-//!            gather: mask concatenation + partial-sum addition            copied per
-//!                                                                         replica)
+//!            query ──► Cluster ──scatter──► shard 0 ─pick─► replica 0 │ replica 1 │ …
+//!                         │      ├────────► shard 1 ─pick─► replica 0 │ replica 1 │ …
+//!                         │      └────────► shard N-1 ─────► …         (rows split
+//!                         ▼                                             per shard,
+//!            gather: mask concatenation + partial-sum addition          copied per
+//!                                                                       replica)
 //! ```
 //!
 //! Each replica session caches compiled plans, so a batch compiles
@@ -78,7 +79,7 @@ pub use cluster::{
     Cluster, ClusterConfig, ClusterReport, ClusterSession, ReplicaSet, MERGE_CYCLES_PER_SHARD,
 };
 pub use fault::FaultPlan;
-pub use routing::{FastestReplica, LeastOutstanding, RoundRobin, RouteCtx, Router, RoutingPolicy};
+pub use routing::RoutingPolicy;
 pub use service::{
     run_service, run_service_traced, LatencySummary, LoadModel, ServiceConfig, ServiceReport,
 };

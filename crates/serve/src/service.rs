@@ -17,14 +17,14 @@
 //! makes replica routing and failover answer-preserving.
 //!
 //! Each scattered sub-query goes to exactly **one** replica of each
-//! shard, chosen by the configured [`Router`] policy; a
+//! shard, chosen by the configured [`RoutingPolicy`]; a
 //! [`FaultPlan`] can kill a replica mid-run, in which case its lost
 //! sub-queries are detected and re-dispatched to a survivor (the
 //! fail-stop model of [`crate::fault`]).
 
 use crate::cluster::{Cluster, ClusterReport, MERGE_CYCLES_PER_SHARD};
 use crate::fault::{self, FaultPlan};
-use crate::routing::{RouteCtx, Router, RoutingPolicy};
+use crate::routing::RoutingPolicy;
 use hipe::{Arch, PhaseBreakdown};
 use hipe_db::scan::ScanResult;
 use hipe_db::{Query, SplitMix64};
@@ -88,7 +88,7 @@ pub struct ServiceConfig {
     /// Front-end cycles per query within a batch.
     pub per_query_dispatch: Cycle,
     /// Replica-selection policy placed in front of the per-shard
-    /// sessions (each run builds a fresh [`Router`] from it).
+    /// sessions.
     pub routing: RoutingPolicy,
     /// Fail-stop faults injected into the run (empty = fault-free).
     /// Validated up front: every shard must keep at least one replica
@@ -386,23 +386,23 @@ struct Served {
 
 /// One replica cube in the event loop: its server, its (optional)
 /// fail-stop cycle, and the completions of sub-queries still in
-/// flight on it (for the router's outstanding counts).
+/// flight on it (for the routing policy's outstanding counts).
 #[derive(Debug)]
-struct Replica {
-    server: Server,
+pub(crate) struct Replica {
+    pub(crate) server: Server,
     fail_at: Option<Cycle>,
     /// Completions in the order the replica accepted them. The replica
     /// is one FIFO [`Server`], so each start is at or after the
     /// previous end and the completions never decrease: the queue is
     /// sorted, and popping its front while `<= now` evicts exactly the
     /// finished sub-queries.
-    inflight: VecDeque<Cycle>,
+    pub(crate) inflight: VecDeque<Cycle>,
 }
 
 impl Replica {
     /// `inflight` starts with room for `capacity` sub-queries, which
     /// the admission window bounds.
-    fn new(fail_at: Option<Cycle>, capacity: usize) -> Self {
+    pub(crate) fn new(fail_at: Option<Cycle>, capacity: usize) -> Self {
         Replica {
             server: Server::new(),
             fail_at,
@@ -413,7 +413,7 @@ impl Replica {
     /// Whether the front end believes this replica alive at `now`: a
     /// dark replica stays routable until detection fires, `detect`
     /// cycles after the fault.
-    fn believed_alive(&self, now: Cycle, detect: Cycle) -> bool {
+    pub(crate) fn believed_alive(&self, now: Cycle, detect: Cycle) -> bool {
         self.fail_at.is_none_or(|f| now < f + detect)
     }
 }
@@ -506,7 +506,8 @@ struct Scheduler<'a> {
     skipped: &'a [Vec<bool>],
     frontend: Server,
     replicas: Vec<Vec<Replica>>,
-    router: Box<dyn Router>,
+    /// Each shard's [`RoutingPolicy::RoundRobin`] cursor.
+    cursors: Vec<usize>,
     window: Window,
     batch: Vec<Pending>,
     batch_cap: usize,
@@ -523,11 +524,6 @@ struct Scheduler<'a> {
     /// The last dispatched batch's completions, handed to the caller
     /// by [`offer`](Self::offer) and [`dispatch`](Self::dispatch).
     served: Vec<Served>,
-    /// Scratch per-replica state of the shard being routed, the
-    /// slices of its [`RouteCtx`].
-    alive: Vec<bool>,
-    next_free: Vec<Cycle>,
-    outstanding: Vec<u32>,
     /// Trace emission state (`None` = tracing off, the zero-cost
     /// default).
     trace: Option<SchedTrace<'a>>,
@@ -572,7 +568,7 @@ impl<'a> Scheduler<'a> {
             skipped,
             frontend: Server::new(),
             replicas,
-            router: cfg.routing.router(),
+            cursors: vec![0; cluster.shards()],
             window: Window::new(cfg.max_in_flight),
             batch: Vec::with_capacity(batch_cap),
             batch_cap,
@@ -583,9 +579,6 @@ impl<'a> Scheduler<'a> {
             redispatched: 0,
             arrivals: Vec::with_capacity(batch_cap),
             served: Vec::with_capacity(batch_cap),
-            alive: Vec::with_capacity(cluster.replicas()),
-            next_free: Vec::with_capacity(cluster.replicas()),
-            outstanding: Vec::with_capacity(cluster.replicas()),
             trace,
         }
     }
@@ -664,7 +657,7 @@ impl<'a> Scheduler<'a> {
             t.batches += 1;
         }
         // Scatter each member to exactly one replica of every shard
-        // the query can touch (the router picks which replica); a
+        // the query can touch (the routing policy picks which); a
         // replica serves one sub-query at a time, so members queue per
         // replica in batch order. Shards the profile pass proved
         // zone-map-skippable for this query are never scattered to —
@@ -722,32 +715,17 @@ impl<'a> Scheduler<'a> {
     fn route_and_serve(&mut self, tag: usize, query: usize, shard: usize, mut at: Cycle) -> Cycle {
         let dispatched = at;
         loop {
-            self.alive.clear();
-            self.next_free.clear();
-            self.outstanding.clear();
             for replica in self.replicas[shard].iter_mut() {
                 while replica.inflight.front().is_some_and(|&done| done <= at) {
                     replica.inflight.pop_front();
                 }
-                self.alive
-                    .push(replica.believed_alive(at, self.cfg.fault_detect));
-                self.next_free.push(replica.server.next_free());
-                self.outstanding.push(replica.inflight.len() as u32);
             }
-            let ctx = RouteCtx {
-                now: at,
-                query,
-                alive: &self.alive,
-                next_free: &self.next_free,
-                outstanding: &self.outstanding,
-                durations: &self.durations[query][shard],
-            };
-            let r = self.router.pick(shard, &ctx);
-            assert!(
-                self.alive[r],
-                "router picked replica {r} of shard {shard}, known dead since \
-                 cycle {:?}",
-                self.replicas[shard][r].fail_at
+            let r = self.cfg.routing.pick(
+                &self.replicas[shard],
+                &mut self.cursors[shard],
+                at,
+                self.cfg.fault_detect,
+                &self.durations[query][shard],
             );
             let duration = self.durations[query][shard][r];
             let replica = &mut self.replicas[shard][r];
@@ -884,7 +862,7 @@ pub fn run_service_traced(
     // compile-once; determinism (warm == cold, order independence)
     // makes replaying the measured durations in the event loop exact.
     // Asserting every replica's combined answer bit-identical to
-    // replica 0's is what licenses the router to pick any replica —
+    // replica 0's is what licenses routing to pick any replica —
     // and failover to re-pick — without changing the service answer.
     let mut session = cluster.session();
     let mut durations: Vec<Vec<Vec<Cycle>>> = Vec::with_capacity(cfg.mix.len());

@@ -2,7 +2,7 @@
 
 use hipe::Arch;
 use hipe_db::Query;
-use hipe_serve::{run_service, Cluster, ClusterConfig, LoadModel, ServiceConfig};
+use hipe_serve::{run_service, Cluster, ClusterConfig, LoadModel, RoutingPolicy, ServiceConfig};
 
 const SEED: u64 = 2018;
 
@@ -393,36 +393,49 @@ fn debug_digest(report: &hipe_serve::ServiceReport) -> u64 {
 fn pinned_service_reports_are_unchanged() {
     // 2,000 queries through a 4x2 HIPE cluster from 8 closed-loop
     // clients, clean and with replica 0 of shard 1 killed at half the
-    // clean makespan, plus an open-loop run of the same size. The
-    // digests pin every simulated number of the three reports, so a
-    // scheduler rewrite that moves any cycle, latency or busy count
-    // fails here.
+    // clean makespan, plus an open-loop run of the same size, plus the
+    // faulted run under the two non-default routing policies. The
+    // digests pin every simulated number of the five reports, so a
+    // scheduler or routing rewrite that moves any cycle, latency,
+    // busy count or replica pick fails here.
     let cluster = Cluster::replicated(4096, SEED, 4, 2);
     let clean = run_service(&cluster, &closed(2_000, 8));
-    let faulted = run_service(
-        &cluster,
-        &ServiceConfig {
-            faults: vec![hipe_serve::FaultPlan::new(1, 0, clean.makespan / 2)],
-            ..closed(2_000, 8)
-        },
-    );
+    let faulted_under = |routing| {
+        run_service(
+            &cluster,
+            &ServiceConfig {
+                faults: vec![hipe_serve::FaultPlan::new(1, 0, clean.makespan / 2)],
+                routing,
+                ..closed(2_000, 8)
+            },
+        )
+    };
+    let faulted = faulted_under(RoutingPolicy::LeastOutstanding);
     let open = run_service(
         &cluster,
         &ServiceConfig::open(Arch::Hipe, 2_000, mix(), 2_000),
     );
-    assert_eq!(faulted.failovers, 1);
-    assert!(faulted.redispatched > 0);
+    let round_robin = faulted_under(RoutingPolicy::RoundRobin);
+    let fastest = faulted_under(RoutingPolicy::FastestReplica);
+    for report in [&faulted, &round_robin, &fastest] {
+        assert_eq!(report.failovers, 1);
+        assert!(report.redispatched > 0);
+    }
     let digests = [
         debug_digest(&clean),
         debug_digest(&faulted),
         debug_digest(&open),
+        debug_digest(&round_robin),
+        debug_digest(&fastest),
     ];
     assert_eq!(
         digests,
         [
             0xecfd_5f12_f9cc_c2c1,
             0x69d3_f44c_97c3_f899,
-            0xf93c_1968_0ace_d2fd
+            0xf93c_1968_0ace_d2fd,
+            0x226f_0a8c_f929_1fdd,
+            0x28a5_27b3_8ea5_4241
         ],
         "{digests:#x?}"
     );

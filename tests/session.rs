@@ -244,8 +244,7 @@ fn warm_pruned_runs_leave_no_residue_for_any_following_machine() {
                 );
             }
         }
-        // The public reset does not know the last writer: it zeroes the
-        // whole mask and aggregate area.
+        // The public reset zeroes the whole mask and aggregate area.
         session.reset();
         let base = sys.mask_base();
         let area = session
